@@ -17,8 +17,8 @@
 use std::panic::{self, AssertUnwindSafe};
 
 use flick_bench::allocwatch::{self, PeakAlloc};
-use flick_bench::data;
 use flick_bench::generated::{fluke_bench, iiop_bench, mach_bench, onc_bench, transcode_bench};
+use flick_bench::{data, oracle};
 use flick_runtime::cdr::ByteOrder;
 use flick_runtime::giop::{self, MsgType};
 use flick_runtime::oncrpc::CallHeader;
@@ -120,8 +120,15 @@ type Encoder<'a> = &'a dyn Fn(&mut MarshalBuf);
 type Entry<'a> = &'a dyn Fn(&[u8]) -> bool;
 /// One transcode path (fused or naive): proc number, source bytes, sink.
 type XcPath<'a> = &'a dyn Fn(u32, &[u8], &mut MarshalBuf) -> Result<(), flick_runtime::DecodeError>;
-/// One equivalence leg: name, seed corpus, fused path, naive path.
-type XcLeg<'a> = (&'a str, &'a [(u32, Vec<u8>)], XcPath<'a>, XcPath<'a>);
+/// One equivalence leg: name, seed corpus, fused path, naive path,
+/// endpoint composition.
+type XcLeg<'a> = (
+    &'a str,
+    &'a [(u32, Vec<u8>)],
+    XcPath<'a>,
+    XcPath<'a>,
+    XcPath<'a>,
+);
 
 /// Complete GIOP request messages for every operation.
 fn giop_seeds() -> Vec<Vec<u8>> {
@@ -279,6 +286,13 @@ fn fuzz_encoding(
 /// except that a fused block copy may observe a truncation at a
 /// different offset than the per-slot loop — there, agreeing that the
 /// input is truncated is the contract.
+///
+/// The third path is the endpoint composition (`flick_bench::oracle`:
+/// decode with one generated stub module, re-encode with the other).
+/// It must agree with the fused path on accept/reject and, when both
+/// accept, byte for byte; its errors come from a different decoder, so
+/// they are not compared.  Returns the tally, the fused/naive
+/// divergences, and the fused/composition divergences.
 fn fuzz_transcode(
     name: &str,
     seed: u64,
@@ -286,7 +300,8 @@ fn fuzz_transcode(
     seeds: &[(u32, Vec<u8>)],
     fused: XcPath,
     naive: XcPath,
-) -> (Tally, u64) {
+    compose: XcPath,
+) -> (Tally, u64, u64) {
     let mut rng = SplitMix64::new(seed ^ 0xfced ^ name.len() as u64);
     let mut t = Tally {
         ok: 0,
@@ -295,8 +310,10 @@ fn fuzz_transcode(
         alloc_violations: 0,
     };
     let mut divergences = 0u64;
+    let mut oracle_divergences = 0u64;
     let mut fused_out = MarshalBuf::new();
     let mut naive_out = MarshalBuf::new();
+    let mut composed_out = MarshalBuf::new();
     for i in 0..iters {
         let (proc, golden) = &seeds[(i % seeds.len() as u64) as usize];
         let mutated = mutate(&mut rng, golden);
@@ -305,8 +322,22 @@ fn fuzz_transcode(
         let verdict = panic::catch_unwind(AssertUnwindSafe(|| {
             fused_out.clear();
             naive_out.clear();
+            composed_out.clear();
             let a = fused(*proc, &mutated, &mut fused_out);
             let b = naive(*proc, &mutated, &mut naive_out);
+            let c = compose(*proc, &mutated, &mut composed_out);
+            let agrees = match (&a, &c) {
+                (Ok(()), Ok(())) => fused_out.as_slice() == composed_out.as_slice(),
+                (Err(_), Err(_)) => true,
+                _ => false,
+            };
+            if !agrees {
+                oracle_divergences += 1;
+                eprintln!(
+                    "DIVERGED (composition): dir={name} seed={seed} iteration={i} \
+                     fused={a:?} composed={c:?}"
+                );
+            }
             match (a, b) {
                 (Ok(()), Ok(())) => {
                     if fused_out.as_slice() == naive_out.as_slice() {
@@ -359,7 +390,7 @@ fn fuzz_transcode(
             eprintln!("ALLOC BOUND: dir={name} seed={seed} iteration={i} peak={delta} bytes");
         }
     }
-    (t, divergences)
+    (t, divergences, oracle_divergences)
 }
 
 fn main() {
@@ -433,8 +464,8 @@ fn main() {
             failed = true;
         }
     }
-    // Gateway rewrites: fused vs slot-by-slot equivalence over mutated
-    // bodies, both legs.  The request corpus reuses the ONC records
+    // Gateway rewrites: fused vs slot-by-slot equivalence, and fused vs
+    // the endpoint composition, over mutated bodies, both legs.  The request corpus reuses the ONC records
     // with their call headers stripped; the reply corpus is the CDR
     // bodies the IIOP server would answer with (echo_stat's stat; the
     // send_* replies are empty).
@@ -461,22 +492,25 @@ fn main() {
             &req_seeds,
             &|p, s, d| transcode_bench::transcode_request(p, s, d).map(|_| ()),
             &|p, s, d| transcode_bench::transcode_request_naive(p, s, d).map(|_| ()),
+            &oracle::bench_request,
         ),
         (
             "cdr->xdr",
             &reply_seeds,
             &|p, s, d| transcode_bench::transcode_reply(p, s, d),
             &|p, s, d| transcode_bench::transcode_reply_naive(p, s, d),
+            &oracle::bench_reply,
         ),
     ];
-    for (name, seeds, fused, naive) in legs {
-        let (t, divergences) = fuzz_transcode(name, seed, iters, seeds, fused, naive);
+    for (name, seeds, fused, naive, compose) in legs {
+        let (t, divergences, oracle_divergences) =
+            fuzz_transcode(name, seed, iters, seeds, fused, naive, compose);
         println!(
             "  transcode {name:<9} ok={:<6} rejected={:<6} panics={} alloc_violations={} \
-             divergences={divergences}",
+             divergences={divergences} composition_divergences={oracle_divergences}",
             t.ok, t.rejected, t.panics, t.alloc_violations
         );
-        if t.panics > 0 || t.alloc_violations > 0 || divergences > 0 {
+        if t.panics > 0 || t.alloc_violations > 0 || divergences > 0 || oracle_divergences > 0 {
             failed = true;
         }
     }

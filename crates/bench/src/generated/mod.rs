@@ -53,6 +53,12 @@ pub mod list_onc;
 #[rustfmt::skip]
 pub mod transcode_bench;
 
+/// `Varied` transcoding gateway: XDR→CDR-LE rewrites over unions,
+/// enums, floats and fixed arrays, checked against the `varied_onc` /
+/// `varied_iiop` endpoint stubs.
+#[rustfmt::skip]
+pub mod transcode_varied;
+
 // ---- ablation variants: one §3 optimization disabled each ----
 
 /// `Bench`, ONC/XDR, **all optimizations off** (traditional shape).

@@ -13,7 +13,10 @@
 //!   fuzz allocation bound and the zero-allocation steady-state test;
 //! * [`fanin`] — the connection-fabric fan-in scenario: thousands of
 //!   pipelined simulated clients against one fabric-hosted server,
-//!   with a single-connection baseline (`BENCH_fabric.json`).
+//!   with a single-connection baseline (`BENCH_fabric.json`);
+//! * [`oracle`] — the endpoint-composition oracle the generated
+//!   gateways are checked against (decode with one stub module,
+//!   re-encode with the other).
 //!
 //! Figure/table binaries live in `src/bin/`; micro-benchmarks (built
 //! on [`microbench`]) in `benches/`.
@@ -27,6 +30,7 @@ pub mod figures;
 pub mod generated;
 pub mod hostcal;
 pub mod microbench;
+pub mod oracle;
 pub mod regen;
 
 /// The §4 message sizes for the int/rect workloads: 64 B – 4 MB.

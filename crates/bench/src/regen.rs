@@ -298,11 +298,14 @@ pub fn generate_all() -> Vec<(&'static str, String)> {
         .collect()
 }
 
-/// Generates the transcoding gateway module: the `Bench` interface's
+/// Generates the transcoding gateway modules: the `Bench` interface's
 /// fused XDR→CDR(native) rewrites, exercised by the `flick-bridge`
-/// binary, the hostile-proxy tests, and the `transcode` ablation row.
+/// binary, the hostile-proxy tests, and the `transcode` ablation row;
+/// and the `Varied` interface's XDR→CDR-LE rewrites (unions, enums,
+/// floats, fixed arrays), checked against the endpoint stubs by the
+/// composition oracle in `tests/bridge.rs`.
 ///
-/// Deliberately not a [`Job`]: gateway modules emit encoding-pair
+/// Deliberately not [`Job`]s: gateway modules emit encoding-pair
 /// rewrites rather than stubs, so they contribute no stub hashes to
 /// the golden manifest.
 ///
@@ -310,19 +313,35 @@ pub fn generate_all() -> Vec<(&'static str, String)> {
 /// Panics if the committed IDL fails to compile or plan.
 #[must_use]
 pub fn generate_transcode() -> Vec<(&'static str, String)> {
-    let out = Compiler::new(Frontend::Corba, Style::RpcgenC, Transport::OncTcp)
-        .compile_source(
-            "bench.idl",
-            include_str!("../../../testdata/bench.idl"),
-            "Bench",
-            Side::Server,
-        )
-        .expect("bench.idl compiles");
-    let src = flick_backend::Encoding::xdr();
-    let dst = flick_backend::Encoding::cdr_native();
-    let module =
-        flick_backend::compile_transcode(&out.presc, &src, &dst, true).expect("transcode plans");
-    vec![("transcode_bench.rs", module)]
+    let gateway = |style, file, source, iface, dst: flick_backend::Encoding| {
+        let out = Compiler::new(Frontend::Corba, style, Transport::OncTcp)
+            .compile_source(file, source, iface, Side::Server)
+            .unwrap_or_else(|e| panic!("{file}: {e}"));
+        flick_backend::compile_transcode(&out.presc, &flick_backend::Encoding::xdr(), &dst, true)
+            .unwrap_or_else(|e| panic!("{file}: transcode plans: {e}"))
+    };
+    vec![
+        (
+            "transcode_bench.rs",
+            gateway(
+                Style::RpcgenC,
+                "bench.idl",
+                include_str!("../../../testdata/bench.idl"),
+                "Bench",
+                flick_backend::Encoding::cdr_native(),
+            ),
+        ),
+        (
+            "transcode_varied.rs",
+            gateway(
+                Style::CorbaC,
+                "varied.idl",
+                include_str!("../../../testdata/varied.idl"),
+                "Varied",
+                flick_backend::Encoding::cdr_le(),
+            ),
+        ),
+    ]
 }
 
 /// The golden stub-hash manifest: one `module stub hash` line per

@@ -3,16 +3,22 @@
 //! `transcode_bench` rewrites) to the generated IIOP server, including
 //! a hostile link seeded with [`flick_transport::fault::FaultPlan`].
 //!
-//! The load-bearing claim: the fused encoding-to-encoding rewrites are
+//! The load-bearing claims: the fused encoding-to-encoding rewrites are
 //! **byte-identical** to the slot-by-slot (`fuse-transcode` ablated)
-//! path on both legs, for clean and hostile traffic alike.
+//! path on both legs, for clean and hostile traffic alike; and both
+//! agree with the endpoint composition (decode with one generated stub
+//! module, re-encode with the other, see `flick_bench::oracle`), which
+//! checks the gateway lowering independently of its own twins.
 
-use flick_bench::data;
-use flick_bench::generated::{iiop_bench, onc_bench, transcode_bench};
+use flick_bench::generated::{
+    iiop_bench, onc_bench, transcode_bench, transcode_varied, varied_onc,
+};
+use flick_bench::{data, oracle};
 use flick_runtime::bridge::{Bridge, BridgeOutcome};
 use flick_runtime::buf::{MarshalBuf, MsgReader};
 use flick_runtime::cdr::ByteOrder;
 use flick_runtime::oncrpc::{self, CallHeader, ReplyVerdict};
+use flick_runtime::DecodeError;
 use flick_transport::fault::{FaultConfig, FaultPlan};
 
 struct Srv;
@@ -198,4 +204,228 @@ fn hostile_link_rejects_identically_on_fused_and_naive_paths() {
         "a 50% corruption rate must produce rejects (got {f:?})"
     );
     assert!(f.forwarded > 0, "some records must survive intact ({f:?})");
+}
+
+// ---- endpoint-composition oracle ----
+
+/// One gateway leg, or its endpoint composition.
+type Rewrite = fn(u32, &[u8], &mut MarshalBuf) -> Result<(), DecodeError>;
+
+/// Runs `body` through the gateway rewrite and the endpoint
+/// composition: they must agree on accept/reject, and accepted inputs
+/// must produce byte-identical output.  Returns whether it was
+/// accepted.
+fn agrees(leg: &str, proc_num: u32, body: &[u8], gateway: Rewrite, compose: Rewrite) -> bool {
+    let (mut via_gateway, mut via_stubs) = (MarshalBuf::new(), MarshalBuf::new());
+    let g = gateway(proc_num, body, &mut via_gateway);
+    let c = compose(proc_num, body, &mut via_stubs);
+    assert_eq!(
+        g.is_ok(),
+        c.is_ok(),
+        "{leg} proc {proc_num}: accept/reject differs on {body:02x?}: gateway={g:?} composition={c:?}"
+    );
+    if g.is_ok() {
+        assert_eq!(
+            via_gateway.as_slice(),
+            via_stubs.as_slice(),
+            "{leg} proc {proc_num}: bytes differ on {body:02x?}"
+        );
+    }
+    g.is_ok()
+}
+
+/// `golden` itself, every truncation of it, and every single-byte
+/// inversion of it: hostile inputs that stay near the deep paths.
+fn near(golden: &[u8]) -> Vec<Vec<u8>> {
+    let mut out = vec![golden.to_vec()];
+    out.extend((0..golden.len()).map(|n| golden[..n].to_vec()));
+    for i in 0..golden.len() {
+        let mut m = golden.to_vec();
+        m[i] ^= 0xff;
+        out.push(m);
+    }
+    out
+}
+
+/// Checks every golden body and its hostile neighbours on one leg;
+/// every golden body must be accepted.
+fn check_leg(leg: &str, goldens: &[(u32, Vec<u8>)], gateway: Rewrite, compose: Rewrite) {
+    let (mut accepted, mut rejected) = (0, 0);
+    for (proc_num, golden) in goldens {
+        assert!(
+            agrees(leg, *proc_num, golden, gateway, compose),
+            "{leg} proc {proc_num}: golden body rejected"
+        );
+        for body in near(golden) {
+            if agrees(leg, *proc_num, &body, gateway, compose) {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+    }
+    assert!(
+        accepted > 0 && rejected > 0,
+        "{leg}: {accepted} accepted, {rejected} rejected"
+    );
+}
+
+fn body(encode: impl FnOnce(&mut MarshalBuf)) -> Vec<u8> {
+    let mut b = MarshalBuf::new();
+    encode(&mut b);
+    b.into_vec()
+}
+
+#[test]
+fn bench_gateway_matches_the_endpoint_composition() {
+    let requests = vec![
+        (
+            1,
+            body(|b| onc_bench::encode_send_ints_request(b, &data::onc::ints(8))),
+        ),
+        (
+            2,
+            body(|b| onc_bench::encode_send_rects_request(b, &data::onc::rects(3))),
+        ),
+        (
+            3,
+            body(|b| onc_bench::encode_send_dirents_request(b, &data::onc::dirents(2))),
+        ),
+        (
+            4,
+            body(|b| onc_bench::encode_echo_stat_request(b, &data::onc::stat())),
+        ),
+    ];
+    for fused in [true, false] {
+        let gateway: Rewrite = if fused {
+            |p, s, d| transcode_bench::transcode_request(p, s, d).map(|_| ())
+        } else {
+            |p, s, d| transcode_bench::transcode_request_naive(p, s, d).map(|_| ())
+        };
+        check_leg("bench request", &requests, gateway, oracle::bench_request);
+    }
+
+    let replies = vec![
+        (1, Vec::new()),
+        (2, Vec::new()),
+        (3, Vec::new()),
+        (
+            4,
+            body(|b| iiop_bench::encode_echo_stat_reply(b, &data::iiop::stat())),
+        ),
+    ];
+    check_leg(
+        "bench reply",
+        &replies,
+        transcode_bench::transcode_reply,
+        oracle::bench_reply,
+    );
+    check_leg(
+        "bench reply (naive)",
+        &replies,
+        transcode_bench::transcode_reply_naive,
+        oracle::bench_reply,
+    );
+}
+
+/// One `Varied` sample per case the gateway must carry: every `Color`,
+/// every `Shade` arm (the default arm with several labels), and the
+/// float values a decode-then-re-encode could disturb — NaNs with
+/// payloads, negative zero, infinities, subnormals.
+fn varied_samples() -> Vec<varied_onc::Sample> {
+    use varied_onc::{Sample, Shade};
+    let shades = [
+        Shade::Warm(0xa5),
+        Shade::Cool(-7),
+        Shade::Other(3, -0.0),
+        Shade::Other(-1, f64::NAN),
+        Shade::Other(i64::from(i32::MAX), f64::from_bits(0x7ff8_dead_beef_0001)),
+        Shade::Other(i64::from(i32::MIN), f64::MIN_POSITIVE / 4.0),
+    ];
+    let floats = [
+        (f32::NAN, f64::INFINITY),
+        (-0.0, -0.0),
+        (
+            f32::from_bits(0xffc0_1234),
+            f64::from_bits(0xfff0_0000_0000_0001),
+        ),
+        (f32::from_bits(1), f64::NEG_INFINITY),
+        (1.5, 1.0e300),
+    ];
+    let mut out = Vec::new();
+    for (i, shade) in shades.iter().enumerate() {
+        let (weight, precise) = floats[i % floats.len()];
+        out.push(Sample {
+            color: (i % 3) as u32,
+            shade: shade.clone(),
+            weight,
+            precise,
+            label: "é".repeat(i),
+        });
+    }
+    out
+}
+
+#[test]
+fn varied_gateway_matches_the_endpoint_composition() {
+    use varied_onc::Shade;
+    let samples = varied_samples();
+    let grid: [[i32; 4]; 3] = [[1, -2, 3, -4], [i32::MIN, i32::MAX, 0, 7], [8, 9, 10, 11]];
+    let mut requests = vec![
+        (
+            1,
+            body(|b| varied_onc::encode_put_samples_request(b, &samples)),
+        ),
+        (2, body(|b| varied_onc::encode_put_grid_request(b, &grid))),
+        (4, body(|b| varied_onc::encode_nudge_request(b, -3, 0xfffe))),
+    ];
+    for s in &samples {
+        for strict in [0, 1] {
+            requests.push((
+                3,
+                body(|b| varied_onc::encode_tally_request(b, &s.shade, strict)),
+            ));
+        }
+    }
+    for fused in [true, false] {
+        let gateway: Rewrite = if fused {
+            |p, s, d| transcode_varied::transcode_request(p, s, d).map(|_| ())
+        } else {
+            |p, s, d| transcode_varied::transcode_request_naive(p, s, d).map(|_| ())
+        };
+        check_leg("varied request", &requests, gateway, oracle::varied_request);
+    }
+
+    let replies = vec![
+        (1, Vec::new()),
+        (2, Vec::new()),
+        (
+            3,
+            body(|b| flick_bench::generated::varied_iiop::encode_tally_reply(b, -5)),
+        ),
+    ];
+    check_leg(
+        "varied reply",
+        &replies,
+        transcode_varied::transcode_reply,
+        oracle::varied_reply,
+    );
+    check_leg(
+        "varied reply (naive)",
+        &replies,
+        transcode_varied::transcode_reply_naive,
+        oracle::varied_reply,
+    );
+
+    // `Shade`'s second `cool` label: the gateway forwards label 2,
+    // while the composition re-encodes the arm's first label (1); the
+    // rest of the message is identical.
+    let mut two = body(|b| varied_onc::encode_tally_request(b, &Shade::Cool(41), 1));
+    two[..4].copy_from_slice(&2u32.to_be_bytes());
+    let (mut via_gateway, mut via_stubs) = (MarshalBuf::new(), MarshalBuf::new());
+    transcode_varied::transcode_request(3, &two, &mut via_gateway).expect("label 2 is valid");
+    oracle::varied_request(3, &two, &mut via_stubs).expect("label 2 is valid");
+    let mut expect = via_stubs.as_slice().to_vec();
+    expect[..4].copy_from_slice(&2u32.to_le_bytes());
+    assert_eq!(via_gateway.as_slice(), &expect[..]);
 }
