@@ -21,8 +21,16 @@
 //! read [`peak_delta`].  `peak_delta(before) == 0` is exactly "no
 //! allocation happened": any nonzero `alloc` or growing `realloc`
 //! pushes the high-water mark above the prior live total.
+//!
+//! Those figures are process-wide, which is what a memory bound over
+//! a whole server (or a whole fuzz iteration) means.  A claim about
+//! one code path running on one thread must not see its neighbours'
+//! allocations (the test harness runs tests on parallel threads), so
+//! the allocator also counts per thread: diff [`thread_alloc_events`]
+//! and [`thread_alloc_bytes`] across the measured region instead.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Global allocator that tracks live bytes, the high-water mark, and a
@@ -33,6 +41,20 @@ static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static EVENTS: AtomicUsize = AtomicUsize::new(0);
 
+// Const-initialized `Cell`s have no destructor and need no lazy
+// registration, so touching them inside the allocator cannot
+// allocate or recurse.
+thread_local! {
+    static THREAD_EVENTS: Cell<usize> = const { Cell::new(0) };
+    static THREAD_BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts one allocation event of `bytes` on the calling thread.
+fn count_thread(bytes: usize) {
+    THREAD_EVENTS.with(|c| c.set(c.get() + 1));
+    THREAD_BYTES.with(|c| c.set(c.get() + bytes));
+}
+
 unsafe impl GlobalAlloc for PeakAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = unsafe { System.alloc(layout) };
@@ -40,6 +62,7 @@ unsafe impl GlobalAlloc for PeakAlloc {
             let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
             PEAK.fetch_max(live, Ordering::Relaxed);
             EVENTS.fetch_add(1, Ordering::Relaxed);
+            count_thread(layout.size());
         }
         p
     }
@@ -57,6 +80,7 @@ unsafe impl GlobalAlloc for PeakAlloc {
                 let live = LIVE.fetch_add(grow, Ordering::Relaxed) + grow;
                 PEAK.fetch_max(live, Ordering::Relaxed);
                 EVENTS.fetch_add(1, Ordering::Relaxed);
+                count_thread(grow);
             } else {
                 LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
             }
@@ -86,4 +110,17 @@ pub fn peak_delta(before_live: usize) -> usize {
 /// diff across a region for a more diagnosable failure message.
 pub fn alloc_events() -> usize {
     EVENTS.load(Ordering::Relaxed)
+}
+
+/// Allocation events (allocs + growing reallocs) made by the calling
+/// thread since it started; diff across a region for a claim about
+/// code running on this thread alone.
+pub fn thread_alloc_events() -> usize {
+    THREAD_EVENTS.with(Cell::get)
+}
+
+/// Bytes allocated (allocs plus realloc growth) by the calling thread
+/// since it started.
+pub fn thread_alloc_bytes() -> usize {
+    THREAD_BYTES.with(Cell::get)
 }

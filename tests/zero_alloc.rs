@@ -17,9 +17,12 @@
 //!   path builds owned strings or buffers;
 //! * all transport headers are plain-old-data.
 //!
-//! `peak_delta == 0` is exactly "the heap was not touched": any alloc
-//! or growing realloc pushes the high-water mark above the live total
-//! captured after warmup (see `flick_bench::allocwatch`).
+//! The claims are per thread: every round trip runs on the test's own
+//! thread, and the tests in this file run on parallel threads, so each
+//! test diffs its own thread's allocation counters
+//! (`allocwatch::thread_alloc_events`) — a neighbour's warmup cannot
+//! land in its window.  Zero events is exactly "the heap was not
+//! touched": every alloc and growing realloc counts one.
 
 use flick_bench::allocwatch::{self, PeakAlloc};
 use flick_bench::data;
@@ -131,9 +134,8 @@ fn warm_onc_round_trip_is_allocation_free() {
         assert_eq!(onc_round_trip(&stat, &mut srv), want);
     }
 
-    let live = allocwatch::live();
-    let events = allocwatch::alloc_events();
-    allocwatch::reset_peak();
+    let events = allocwatch::thread_alloc_events();
+    let bytes = allocwatch::thread_alloc_bytes();
     let mut acc = 0i64;
     for _ in 0..100 {
         acc += i64::from(onc_round_trip(&stat, &mut srv));
@@ -144,10 +146,10 @@ fn warm_onc_round_trip_is_allocation_free() {
         return;
     }
     assert_eq!(
-        allocwatch::peak_delta(live),
+        allocwatch::thread_alloc_events() - events,
         0,
-        "warm ONC round trips touched the heap ({} allocation events over 100 calls)",
-        allocwatch::alloc_events() - events
+        "warm ONC round trips touched the heap ({} bytes over 100 calls)",
+        allocwatch::thread_alloc_bytes() - bytes
     );
 }
 
@@ -160,9 +162,8 @@ fn warm_giop_round_trip_is_allocation_free() {
         assert_eq!(giop_round_trip(&stat, &mut srv), want);
     }
 
-    let live = allocwatch::live();
-    let events = allocwatch::alloc_events();
-    allocwatch::reset_peak();
+    let events = allocwatch::thread_alloc_events();
+    let bytes = allocwatch::thread_alloc_bytes();
     let mut acc = 0i64;
     for _ in 0..100 {
         acc += i64::from(giop_round_trip(&stat, &mut srv));
@@ -173,17 +174,18 @@ fn warm_giop_round_trip_is_allocation_free() {
         return;
     }
     assert_eq!(
-        allocwatch::peak_delta(live),
+        allocwatch::thread_alloc_events() - events,
         0,
-        "warm GIOP round trips touched the heap ({} allocation events over 100 calls)",
-        allocwatch::alloc_events() - events
+        "warm GIOP round trips touched the heap ({} bytes over 100 calls)",
+        allocwatch::thread_alloc_bytes() - bytes
     );
 }
 
 #[test]
 fn pool_telemetry_sees_steady_state_hits() {
     // Independent of the allocator: after one warm call, every
-    // checkout is a pool hit and every drop recycles.
+    // checkout is a pool hit and every drop recycles.  The pool is
+    // thread-local, so this too is a claim about this thread alone.
     let stat = data::onc::stat();
     let mut srv = OncId;
     onc_round_trip(&stat, &mut srv);
