@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 
 use flick_pres::{PresC, PresId, PresNode};
 
-use crate::encoding::{Order, StringWire, WirePrim};
+use crate::encoding::{Encoding, Order, StringWire, WirePrim};
 use crate::layout::{LayoutCursor, SizeClass, ValPath};
 use crate::mir::{Demux, DemuxArm, DemuxNode, PrefixStep, SlotStorage};
 use crate::plan::{MsgPlan, PlanNode, StubPlan, StubPlans};
@@ -67,7 +67,7 @@ struct Emitter<'a> {
 }
 
 /// The Rust spelling of a wire primitive's presented value.
-fn prim_rust_ty(p: WirePrim) -> &'static str {
+pub(crate) fn prim_rust_ty(p: WirePrim) -> &'static str {
     if p.float {
         return if p.size == 4 { "f32" } else { "f64" };
     }
@@ -100,6 +100,147 @@ fn cap_first(s: &str) -> String {
             out
         }
         None => String::from("Arm"),
+    }
+}
+
+/// The statement writing `vexpr` in wire form `prim` to `buf`.
+pub(crate) fn put_prim_call(prim: WirePrim, vexpr: &str) -> String {
+    let suffix = match prim.order {
+        Order::Big => "be",
+        Order::Little => "le",
+    };
+    if prim.float {
+        return match prim.size {
+            4 => format!("buf.put_u32_{suffix}(({vexpr}).to_bits());"),
+            _ => format!("buf.put_u64_{suffix}(({vexpr}).to_bits());"),
+        };
+    }
+    match (prim.slot, prim.size, prim.signed) {
+        (1, _, _) => format!("buf.put_u8(({vexpr}) as u8);"),
+        (2, _, _) => format!("buf.put_u16_{suffix}(({vexpr}) as u16);"),
+        (4, s, true) if s < 4 => {
+            format!("buf.put_u32_{suffix}(({vexpr}) as i32 as u32);")
+        }
+        (4, s, false) if s < 4 => format!("buf.put_u32_{suffix}(({vexpr}) as u32);"),
+        (4, _, _) => format!("buf.put_u32_{suffix}(({vexpr}) as u32);"),
+        _ => format!("buf.put_u64_{suffix}(({vexpr}) as u64);"),
+    }
+}
+
+/// The expression reading one value in wire form `prim` from `r`.
+pub(crate) fn get_prim_expr(prim: WirePrim) -> String {
+    let suffix = match prim.order {
+        Order::Big => "be",
+        Order::Little => "le",
+    };
+    if prim.float {
+        return match prim.size {
+            4 => format!("f32::from_bits(r.get_u32_{suffix}()?)"),
+            _ => format!("f64::from_bits(r.get_u64_{suffix}()?)"),
+        };
+    }
+    let ty = prim_rust_ty(prim);
+    match prim.slot {
+        1 => format!("r.get_u8()? as {ty}"),
+        2 => format!("r.get_u16_{suffix}()? as {ty}"),
+        4 if prim.size < 4 && prim.signed => {
+            format!("r.get_u32_{suffix}()? as i32 as {ty}")
+        }
+        4 => format!("r.get_u32_{suffix}()? as {ty}"),
+        _ => format!("r.get_u64_{suffix}()? as {ty}"),
+    }
+}
+
+/// The statement writing the count prefix `vexpr_len` under `enc`.
+pub(crate) fn len_prefix_call(enc: &Encoding, vexpr_len: &str) -> String {
+    let suffix = match enc.len_prefix().order {
+        Order::Big => "be",
+        Order::Little => "le",
+    };
+    format!("buf.put_u32_{suffix}({vexpr_len} as u32);")
+}
+
+/// The expression reading a count prefix under `enc`.
+pub(crate) fn len_prefix_expr(enc: &Encoding) -> String {
+    let suffix = match enc.len_prefix().order {
+        Order::Big => "be",
+        Order::Little => "le",
+    };
+    format!("r.get_u32_{suffix}()? as usize")
+}
+
+/// The statement rejecting a count `lv` above the declared `bound`.
+pub(crate) fn bound_check(lv: &str, bound: u64) -> String {
+    format!(
+        "if {lv} as u64 > {bound} {{ return Err(DecodeError::BoundExceeded {{ got: {lv} as u64, bound: {bound} }}); }}"
+    )
+}
+
+/// Statements reading a string's bytes once its count `lv` is known:
+/// the bound check, the framing convention, and UTF-8 validation into
+/// `v` — borrowed from the receive buffer, or an owned copy.
+pub(crate) fn string_read(
+    lv: &str,
+    bytes: &str,
+    v: &str,
+    bound: Option<u64>,
+    style: StringWire,
+    pad_unit: Option<u8>,
+    borrow: bool,
+) -> Vec<String> {
+    let mut out: Vec<String> = bound.map(|b| bound_check(lv, b)).into_iter().collect();
+    match style {
+        StringWire::CountedPadded => {
+            out.push(format!("let {bytes} = r.bytes({lv})?;"));
+            if let Some(u) = pad_unit {
+                out.push(format!("r.skip(({u} - {lv} % {u}) % {u})?;"));
+            }
+        }
+        StringWire::CountedNul => {
+            out.push(format!(
+                "if {lv} == 0 {{ return Err(DecodeError::BadValue(\"CDR string length must include NUL\")); }}"
+            ));
+            out.push(format!("let {bytes} = &r.bytes({lv})?[..{lv} - 1];"));
+        }
+    }
+    out.push(if borrow {
+        // §3.1 in-buffer presentation: borrow straight from the
+        // receive buffer.
+        format!(
+            "let {v} = std::str::from_utf8({bytes}).map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?; // zero-copy"
+        )
+    } else {
+        format!(
+            "let {v} = String::from_utf8({bytes}.to_vec()).map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?;"
+        )
+    });
+    out
+}
+
+/// Statements writing string `v` under `enc`'s framing, count prefix
+/// included.
+pub(crate) fn string_write(
+    enc: &Encoding,
+    v: &str,
+    style: StringWire,
+    pad_unit: Option<u8>,
+) -> Vec<String> {
+    match style {
+        StringWire::CountedPadded => {
+            let mut out = vec![
+                len_prefix_call(enc, &format!("{v}.len()")),
+                format!("buf.put_bytes({v}.as_bytes());"),
+            ];
+            if let Some(u) = pad_unit {
+                out.push(format!("buf.align_to({u});"));
+            }
+            out
+        }
+        StringWire::CountedNul => vec![
+            len_prefix_call(enc, &format!("({v}.len() + 1)")),
+            format!("buf.put_bytes({v}.as_bytes());"),
+            "buf.put_u8(0);".to_string(),
+        ],
     }
 }
 
@@ -725,29 +866,6 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    fn put_prim_call(prim: WirePrim, vexpr: &str) -> String {
-        let suffix = match prim.order {
-            Order::Big => "be",
-            Order::Little => "le",
-        };
-        if prim.float {
-            return match prim.size {
-                4 => format!("buf.put_u32_{suffix}(({vexpr}).to_bits());"),
-                _ => format!("buf.put_u64_{suffix}(({vexpr}).to_bits());"),
-            };
-        }
-        match (prim.slot, prim.size, prim.signed) {
-            (1, _, _) => format!("buf.put_u8(({vexpr}) as u8);"),
-            (2, _, _) => format!("buf.put_u16_{suffix}(({vexpr}) as u16);"),
-            (4, s, true) if s < 4 => {
-                format!("buf.put_u32_{suffix}(({vexpr}) as i32 as u32);")
-            }
-            (4, s, false) if s < 4 => format!("buf.put_u32_{suffix}(({vexpr}) as u32);"),
-            (4, _, _) => format!("buf.put_u32_{suffix}(({vexpr}) as u32);"),
-            _ => format!("buf.put_u64_{suffix}(({vexpr}) as u64);"),
-        }
-    }
-
     fn chunk_put_call(prim: WirePrim, off_expr: &str, vexpr: &str, cvar: &str) -> String {
         let suffix = match prim.order {
             Order::Big => "be",
@@ -768,15 +886,6 @@ impl<'a> Emitter<'a> {
             (4, _, _) => format!("{cvar}.put_u32_{suffix}_at({off_expr}, ({vexpr}) as u32);"),
             _ => format!("{cvar}.put_u64_{suffix}_at({off_expr}, ({vexpr}) as u64);"),
         }
-    }
-
-    fn len_prefix_call(&self, vexpr_len: &str) -> String {
-        let p = self.be.encoding.len_prefix();
-        let suffix = match p.order {
-            Order::Big => "be",
-            Order::Little => "le",
-        };
-        format!("buf.put_u32_{suffix}({vexpr_len} as u32);")
     }
 
     fn path_expr(base: &str, path: &ValPath) -> String {
@@ -817,11 +926,11 @@ impl<'a> Emitter<'a> {
                 } else if !ctx.covered {
                     self.line(d, &format!("buf.ensure({});", prim.slot));
                 }
-                self.line(d, &Self::put_prim_call(*prim, vexpr));
+                self.line(d, &put_prim_call(*prim, vexpr));
             }
             PlanNode::Enum { prim } => {
                 self.align_enc(prim.align, d);
-                self.line(d, &Self::put_prim_call(*prim, vexpr));
+                self.line(d, &put_prim_call(*prim, vexpr));
             }
             PlanNode::Packed { layout, .. } => {
                 self.align_enc(layout.align.min(8) as u8, d);
@@ -897,7 +1006,10 @@ impl<'a> Emitter<'a> {
                         );
                     }
                     self.align_enc(4, d);
-                    self.line(d, &self.len_prefix_call(&format!("{vexpr}.len()")));
+                    self.line(
+                        d,
+                        &len_prefix_call(&self.be.encoding, &format!("{vexpr}.len()")),
+                    );
                 } else if !ctx.covered && self.hoist {
                     self.line(d, &format!("buf.ensure({len_expr} * {} + 4);", prim.size));
                 }
@@ -927,19 +1039,8 @@ impl<'a> Emitter<'a> {
                 if !self.hoist {
                     self.line(d, &format!("buf.ensure({vexpr}.len() + 4);"));
                 }
-                match style {
-                    StringWire::CountedPadded => {
-                        self.line(d, &self.len_prefix_call(&format!("{vexpr}.len()")));
-                        self.line(d, &format!("buf.put_bytes({vexpr}.as_bytes());"));
-                        if let Some(u) = pad_unit {
-                            self.line(d, &format!("buf.align_to({u});"));
-                        }
-                    }
-                    StringWire::CountedNul => {
-                        self.line(d, &self.len_prefix_call(&format!("({vexpr}.len() + 1)")));
-                        self.line(d, &format!("buf.put_bytes({vexpr}.as_bytes());"));
-                        self.line(d, "buf.put_u8(0);");
-                    }
+                for l in string_write(&self.be.encoding, vexpr, *style, *pad_unit) {
+                    self.line(d, &l);
                 }
             }
             PlanNode::CountedArray {
@@ -949,7 +1050,10 @@ impl<'a> Emitter<'a> {
                 if !self.hoist || !ctx.covered {
                     self.line(d, "buf.ensure(4);");
                 }
-                self.line(d, &self.len_prefix_call(&format!("{vexpr}.len()")));
+                self.line(
+                    d,
+                    &len_prefix_call(&self.be.encoding, &format!("{vexpr}.len()")),
+                );
                 // §3.1: a fixed-size element lets the whole array's
                 // space be reserved in one step before the loop.
                 let hoisted = if let (true, SizeClass::Fixed(n)) =
@@ -1035,7 +1139,7 @@ impl<'a> Emitter<'a> {
                     };
                     self.line(d + 1, &format!("{pat} => {{"));
                     ctx.depth = d + 2;
-                    self.line(d + 2, &Self::put_prim_call(*disc_prim, &label.to_string()));
+                    self.line(d + 2, &put_prim_call(*disc_prim, &label.to_string()));
                     if !is_void {
                         let c2 = c.clone();
                         let e = match c {
@@ -1059,7 +1163,7 @@ impl<'a> Emitter<'a> {
                     } else {
                         self.line(d + 1, &format!("{type_name}::Other(_d, _x) => {{"));
                     }
-                    self.line(d + 2, &Self::put_prim_call(*disc_prim, "(*_d)"));
+                    self.line(d + 2, &put_prim_call(*disc_prim, "(*_d)"));
                     if !is_void {
                         ctx.depth = d + 2;
                         let dn = (**dflt).clone();
@@ -1086,14 +1190,14 @@ impl<'a> Emitter<'a> {
                 }
                 self.line(d, &format!("match {vexpr} {{"));
                 self.line(d + 1, "Some(_inner) => {");
-                self.line(d + 2, &Self::put_prim_call(flag, "1u8"));
+                self.line(d + 2, &put_prim_call(flag, "1u8"));
                 ctx.depth = d + 2;
                 let en = (**elem).clone();
                 self.emit_encode(&en, "(&**_inner)", ctx)?;
                 ctx.depth = d;
                 self.line(d + 1, "}");
                 self.line(d + 1, "None => {");
-                self.line(d + 2, &Self::put_prim_call(flag, "0u8"));
+                self.line(d + 2, &put_prim_call(flag, "0u8"));
                 self.line(d + 1, "}");
                 self.line(d, "}");
             }
@@ -1109,29 +1213,6 @@ impl<'a> Emitter<'a> {
     fn align_dec(&mut self, align: u8, depth: usize) {
         if !self.be.encoding.widen_to_word && align > 1 {
             self.line(depth, &format!("r.align_from(_base, {align})?;"));
-        }
-    }
-
-    fn get_prim_expr(prim: WirePrim) -> String {
-        let suffix = match prim.order {
-            Order::Big => "be",
-            Order::Little => "le",
-        };
-        if prim.float {
-            return match prim.size {
-                4 => format!("f32::from_bits(r.get_u32_{suffix}()?)"),
-                _ => format!("f64::from_bits(r.get_u64_{suffix}()?)"),
-            };
-        }
-        let ty = prim_rust_ty(prim);
-        match prim.slot {
-            1 => format!("r.get_u8()? as {ty}"),
-            2 => format!("r.get_u16_{suffix}()? as {ty}"),
-            4 if prim.size < 4 && prim.signed => {
-                format!("r.get_u32_{suffix}()? as i32 as {ty}")
-            }
-            4 => format!("r.get_u32_{suffix}()? as {ty}"),
-            _ => format!("r.get_u64_{suffix}()? as {ty}"),
         }
     }
 
@@ -1158,15 +1239,6 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    fn len_prefix_expr(&self) -> String {
-        let p = self.be.encoding.len_prefix();
-        let suffix = match p.order {
-            Order::Big => "be",
-            Order::Little => "le",
-        };
-        format!("r.get_u32_{suffix}()? as usize")
-    }
-
     /// Reads (or, when `merge-prefix` hoisted it above the dispatch
     /// switch, reuses) the aligned u32 length prefix.  Returns the
     /// local holding the count.
@@ -1179,7 +1251,10 @@ impl<'a> Emitter<'a> {
             );
         } else {
             self.align_dec(4, d);
-            self.line(d, &format!("let {lv} = {};", self.len_prefix_expr()));
+            self.line(
+                d,
+                &format!("let {lv} = {};", len_prefix_expr(&self.be.encoding)),
+            );
         }
         lv
     }
@@ -1215,14 +1290,14 @@ impl<'a> Emitter<'a> {
                 self.skip_descriptor(d);
                 self.align_dec(prim.align, d);
                 let v = self.fresh("v");
-                let e = Self::get_prim_expr(*prim);
+                let e = get_prim_expr(*prim);
                 self.line(d, &format!("let {v} = {e};"));
                 v
             }
             PlanNode::Enum { prim } => {
                 self.align_dec(prim.align, d);
                 let v = self.fresh("v");
-                self.line(d, &format!("let {v} = {};", Self::get_prim_expr(*prim)));
+                self.line(d, &format!("let {v} = {};", get_prim_expr(*prim)));
                 v
             }
             PlanNode::Packed { layout, pres, .. } => {
@@ -1272,12 +1347,7 @@ impl<'a> Emitter<'a> {
                     None => {
                         let lv = self.read_len_prefix(d);
                         if let Some(b) = bound {
-                            self.line(
-                                d,
-                                &format!(
-                                    "if {lv} as u64 > {b} {{ return Err(DecodeError::BoundExceeded {{ got: {lv} as u64, bound: {b} }}); }}"
-                                ),
-                            );
+                            self.line(d, &bound_check(&lv, *b));
                         }
                         if prim.align > 1 {
                             self.align_dec(prim.align, d);
@@ -1308,49 +1378,11 @@ impl<'a> Emitter<'a> {
             } => {
                 self.skip_descriptor(d);
                 let lv = self.read_len_prefix(d);
-                if let Some(b) = bound {
-                    self.line(
-                        d,
-                        &format!(
-                            "if {lv} as u64 > {b} {{ return Err(DecodeError::BoundExceeded {{ got: {lv} as u64, bound: {b} }}); }}"
-                        ),
-                    );
-                }
                 let bytes = self.fresh("bytes");
-                match style {
-                    StringWire::CountedPadded => {
-                        self.line(d, &format!("let {bytes} = r.bytes({lv})?;"));
-                        if let Some(u) = pad_unit {
-                            self.line(d, &format!("r.skip(({u} - {lv} % {u}) % {u})?;"));
-                        }
-                    }
-                    StringWire::CountedNul => {
-                        self.line(
-                            d,
-                            &format!(
-                                "if {lv} == 0 {{ return Err(DecodeError::BadValue(\"CDR string length must include NUL\")); }}"
-                            ),
-                        );
-                        self.line(d, &format!("let {bytes} = &r.bytes({lv})?[..{lv} - 1];"));
-                    }
-                }
                 let v = self.fresh("v");
-                if borrowed && *borrow_ok {
-                    // §3.1 in-buffer presentation: borrow straight from
-                    // the receive buffer.
-                    self.line(
-                        d,
-                        &format!(
-                            "let {v} = std::str::from_utf8({bytes}).map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?; // zero-copy"
-                        ),
-                    );
-                } else {
-                    self.line(
-                        d,
-                        &format!(
-                            "let {v} = String::from_utf8({bytes}.to_vec()).map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?;"
-                        ),
-                    );
+                let borrow = borrowed && *borrow_ok;
+                for l in string_read(&lv, &bytes, &v, *bound, *style, *pad_unit, borrow) {
+                    self.line(d, &l);
                 }
                 v
             }
@@ -1362,12 +1394,7 @@ impl<'a> Emitter<'a> {
             } => {
                 let lv = self.read_len_prefix(d);
                 if let Some(b) = bound {
-                    self.line(
-                        d,
-                        &format!(
-                            "if {lv} as u64 > {b} {{ return Err(DecodeError::BoundExceeded {{ got: {lv} as u64, bound: {b} }}); }}"
-                        ),
-                    );
+                    self.line(d, &bound_check(&lv, *b));
                 }
                 // Guard capacity against hostile counts: never reserve
                 // more than the message could actually hold.
@@ -1432,7 +1459,7 @@ impl<'a> Emitter<'a> {
                 let dv = self.fresh("d");
                 self.line(
                     d,
-                    &format!("let {dv} = ({}) as i64;", Self::get_prim_expr(*disc_prim)),
+                    &format!("let {dv} = ({}) as i64;", get_prim_expr(*disc_prim)),
                 );
                 let v = self.fresh("v");
                 self.line(d, &format!("let {v} = match {dv} {{"));
@@ -1471,7 +1498,7 @@ impl<'a> Emitter<'a> {
             PlanNode::Optional { elem, .. } => {
                 let flag = self.be.encoding.prim_for_size(1, false);
                 let fv = self.fresh("flag");
-                self.line(d, &format!("let {fv} = {};", Self::get_prim_expr(flag)));
+                self.line(d, &format!("let {fv} = {};", get_prim_expr(flag)));
                 let v = self.fresh("v");
                 self.line(d, &format!("let {v} = match {fv} {{"));
                 self.line(d + 1, "0 => None,");
@@ -1867,22 +1894,21 @@ impl<'a> Emitter<'a> {
     fn dispatch_by_name(&mut self, stubs: &[StubPlan], demux: &Demux) -> Result<(), String> {
         match demux {
             Demux::Trie(root) => {
+                self.push(WORD_AT_FN);
                 self.push(
-                    "/// Reads a zero-padded machine word of the discriminator (§3.3:\n\
-                     /// \"Flick generates demultiplexing code that examines machine\n\
-                     /// word-size chunks of the discriminator\").\n\
-                     #[inline]\nfn word_at(s: &[u8], i: usize) -> u32 {\n\
-                     \x20   let mut w = [0u8; 4];\n\
-                     \x20   if i < s.len() {\n\
-                     \x20       let n = (s.len() - i).min(4);\n\
-                     \x20       w[..n].copy_from_slice(&s[i..i + n]);\n\
-                     \x20   }\n\
-                     \x20   u32::from_ne_bytes(w)\n}\n\n\
-                     /// Server dispatch on a string discriminator (the IIOP operation\n\
+                    "/// Server dispatch on a string discriminator (the IIOP operation\n\
                      /// name), demultiplexed word by word with nested switches.\n\
                      pub fn dispatch_by_name<S: Server>(op: &[u8], body: &[u8], reply: &mut MarshalBuf, srv: &mut S) -> Result<(), DecodeError> {\n",
                 );
-                self.trie_node(root, stubs, 1, None)?;
+                trie_node(
+                    &mut ServerSwitch {
+                        e: self,
+                        stubs,
+                        prefetched: None,
+                    },
+                    root,
+                    1,
+                )?;
                 self.push("}\n\n");
             }
             Demux::Linear => {
@@ -1907,75 +1933,149 @@ impl<'a> Emitter<'a> {
         }
         Ok(())
     }
+}
 
-    /// Generates the §3.3 nested word switches from the demux trie the
-    /// `demux-switch` pass built.
-    fn trie_node(
-        &mut self,
-        node: &DemuxNode,
-        stubs: &[StubPlan],
-        d: usize,
-        mut prefetched: Option<String>,
-    ) -> Result<(), String> {
-        if prefetched.is_none() && !node.prefix.is_empty() {
+/// The `word_at` helper every word-switch dispatcher reads the
+/// discriminator with.
+pub(crate) const WORD_AT_FN: &str =
+    "/// Reads a zero-padded machine word of the discriminator (§3.3:\n\
+     /// \"Flick generates demultiplexing code that examines machine\n\
+     /// word-size chunks of the discriminator\").\n\
+     #[inline]\nfn word_at(s: &[u8], i: usize) -> u32 {\n\
+     \x20   let mut w = [0u8; 4];\n\
+     \x20   if i < s.len() {\n\
+     \x20       let n = (s.len() - i).min(4);\n\
+     \x20       w[..n].copy_from_slice(&s[i..i + n]);\n\
+     \x20   }\n\
+     \x20   u32::from_ne_bytes(w)\n}\n\n";
+
+/// What the §3.3 word-switch walk asks of the emitter driving it:
+/// endpoint servers dispatch to a stub at each leaf, gateways rewrite
+/// a message body.
+pub(crate) trait WordSwitch {
+    /// Appends one line at indent `depth`.
+    fn line(&mut self, depth: usize, s: &str);
+    /// The wire name of operation `op`.
+    ///
+    /// # Errors
+    /// The trie names an operation the emitter does not know.
+    fn wire_name(&self, op: &str) -> Result<String, String>;
+    /// Emits the arm body for operation `op` at `depth`.
+    ///
+    /// # Errors
+    /// The arm cannot be emitted.
+    fn leaf(&mut self, op: &str, depth: usize) -> Result<(), String>;
+    /// Runs before `node`'s switch; what it returns is handed back to
+    /// [`WordSwitch::leave`] after the switch.
+    fn enter(&mut self, _node: &DemuxNode, _depth: usize) -> Option<String> {
+        None
+    }
+    /// Runs after `node`'s switch with what [`WordSwitch::enter`]
+    /// returned.
+    fn leave(&mut self, _saved: Option<String>) {}
+}
+
+/// Generates the §3.3 nested word switches from a demux trie.
+///
+/// # Errors
+/// What the emitter's [`WordSwitch`] hooks report.
+pub(crate) fn trie_node(e: &mut impl WordSwitch, node: &DemuxNode, d: usize) -> Result<(), String> {
+    let saved = e.enter(node, d);
+    e.line(d, &format!("match word_at(op, {}) {{", node.word * 4));
+    for (w, arm) in &node.arms {
+        match arm {
+            DemuxArm::Op(name) => {
+                let wire = e.wire_name(name)?;
+                e.line(
+                    d + 1,
+                    &format!("{w}u32 if op.len() == {} => {{ // \"{wire}\"", wire.len()),
+                );
+                e.leaf(name, d + 2)?;
+                e.line(d + 1, "}");
+            }
+            DemuxArm::Descend(child) => {
+                e.line(d + 1, &format!("{w}u32 => {{"));
+                trie_node(e, child, d + 2)?;
+                e.line(d + 1, "}");
+            }
+        }
+    }
+    e.line(
+        d + 1,
+        "_ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),",
+    );
+    e.line(d, "}");
+    e.leave(saved);
+    Ok(())
+}
+
+/// The endpoint server's word switch: each leaf dispatches to its
+/// stub, below any count the `merge-prefix` pass hoisted.
+struct ServerSwitch<'e, 'a> {
+    e: &'e mut Emitter<'a>,
+    stubs: &'e [StubPlan],
+    /// The local holding a hoisted count, once a trie node decoded it.
+    prefetched: Option<String>,
+}
+
+impl ServerSwitch<'_, '_> {
+    fn stub(&self, op: &str) -> Result<&StubPlan, String> {
+        self.stubs
+            .iter()
+            .find(|s| s.op.name == op)
+            .ok_or_else(|| format!("demux trie names unknown operation `{op}`"))
+    }
+}
+
+impl WordSwitch for ServerSwitch<'_, '_> {
+    fn line(&mut self, depth: usize, s: &str) {
+        self.e.line(depth, s);
+    }
+
+    fn wire_name(&self, op: &str) -> Result<String, String> {
+        Ok(self.stub(op)?.op.wire_name.clone())
+    }
+
+    fn leaf(&mut self, op: &str, depth: usize) -> Result<(), String> {
+        let stub = self.stub(op)?.clone();
+        let prefetched = self.prefetched.clone();
+        self.e.dispatch_arm(&stub, depth, prefetched.as_deref())
+    }
+
+    fn enter(&mut self, node: &DemuxNode, d: usize) -> Option<String> {
+        let saved = self.prefetched.clone();
+        if saved.is_none() && !node.prefix.is_empty() {
             // `merge-prefix` hoisted the shared leading count above the
             // word switch: every operation below this node decodes it
             // here, once, instead of per arm.
-            self.line(d, "let mut r = MsgReader::new(body);");
-            self.line(d, "let r = &mut r;");
-            if !self.be.encoding.widen_to_word {
-                self.line(d, "let _base = r.pos();");
+            let e = &mut *self.e;
+            e.line(d, "let mut r = MsgReader::new(body);");
+            e.line(d, "let r = &mut r;");
+            if !e.be.encoding.widen_to_word {
+                e.line(d, "let _base = r.pos();");
             }
             for step in &node.prefix {
                 match step {
                     PrefixStep::LenU32 => {
-                        self.align_dec(4, d);
-                        let pv = self.fresh("plen");
-                        self.line(
+                        e.align_dec(4, d);
+                        let pv = e.fresh("plen");
+                        e.line(
                             d,
                             &format!(
                                 "let {pv} = {}; // merge-prefix: shared count for every arm below",
-                                self.len_prefix_expr()
+                                len_prefix_expr(&e.be.encoding)
                             ),
                         );
-                        prefetched = Some(pv);
+                        self.prefetched = Some(pv);
                     }
                 }
             }
         }
-        self.line(d, &format!("match word_at(op, {}) {{", node.word * 4));
-        for (w, arm) in &node.arms {
-            match arm {
-                DemuxArm::Op(name) => {
-                    let s = stubs
-                        .iter()
-                        .find(|s| s.op.name == *name)
-                        .ok_or_else(|| format!("demux trie names unknown operation `{name}`"))?
-                        .clone();
-                    self.line(
-                        d + 1,
-                        &format!(
-                            "{w}u32 if op.len() == {} => {{ // \"{}\"",
-                            s.op.wire_name.len(),
-                            s.op.wire_name
-                        ),
-                    );
-                    self.dispatch_arm(&s, d + 2, prefetched.as_deref())?;
-                    self.line(d + 1, "}");
-                }
-                DemuxArm::Descend(child) => {
-                    self.line(d + 1, &format!("{w}u32 => {{"));
-                    self.trie_node(child, stubs, d + 2, prefetched.clone())?;
-                    self.line(d + 1, "}");
-                }
-            }
-        }
-        self.line(
-            d + 1,
-            "_ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),",
-        );
-        self.line(d, "}");
-        Ok(())
+        saved
+    }
+
+    fn leave(&mut self, saved: Option<String>) {
+        self.prefetched = saved;
     }
 }
 

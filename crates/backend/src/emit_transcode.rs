@@ -1,54 +1,72 @@
 //! Rust emission for encoding→encoding transcoder stubs.
 //!
-//! Turns a [`TranscodePlans`] into a standalone generated module of
-//! `transcode_<op>_<message>(src: &[u8], dst: &mut MarshalBuf)`
+//! Turns a [`TranscodePair`] into a standalone generated module of
+//! `transcode_<op>_<message>(src: &[u8], buf: &mut MarshalBuf)`
 //! functions plus dispatchers for both gateway directions: a
-//! procedure-number switch for the forward gateway (ONC-style integer
-//! discriminator on the source header) and the word-switch demux trie
-//! over operation names for the reverse gateway (IIOP-style string
-//! discriminator), mirroring the endpoint `demux-switch` emission.
+//! procedure-number switch for the forward gateway and the endpoint
+//! word-switch demux over operation names for the reverse gateway.
 //!
-//! The generated byte behavior is pinned to the endpoint stubs: every
-//! value is read exactly as the source-encoding decoder would read it
-//! (same alignment skips, same bound/NUL/UTF-8/discriminator checks,
-//! same error values at the same stream positions) and written exactly
-//! as the target-encoding encoder would write it.  Fused ops become
-//! bulk `put_bytes(r.bytes(n)?)` moves; the `_naive` twins re-read and
-//! re-write slot by slot, materializing strings and scalar sequences,
-//! and are what `--disable-pass=fuse-transcode` routes through.
+//! Each function walks the read side's MIR and the write side's MIR in
+//! lockstep and speaks through the endpoint emitter's own forms
+//! (`crate::emit_rust`): every value is read as the source decoder
+//! reads it (alignment, bound, NUL, UTF-8, discriminator and flag
+//! checks, at the same stream positions) and written as the target
+//! encoder writes it.  Fused steps become `put_bytes(r.bytes(n)?)`
+//! block moves; the `_naive` twins never fuse and materialize strings
+//! and scalar sequences, as decode-then-re-encode would.
 
-use std::collections::BTreeMap;
 use std::fmt::Write;
 
-use crate::encoding::{Encoding, Order, StringWire, WirePrim};
-use crate::passes::demux::word_of;
-use crate::transcode::{TranscodePlan, TranscodePlans, XcOp};
+use crate::emit_rust::{
+    bound_check, get_prim_expr, len_prefix_call, len_prefix_expr, prim_rust_ty, put_prim_call,
+    string_read, string_write, trie_node, WordSwitch, WORD_AT_FN,
+};
+use crate::encoding::{Order, WirePrim};
+use crate::mir::{MsgPlan, PlanNode, StubPlan};
+use crate::transcode::{
+    array_of, bulk, check_steps, packed_steps, Array, Elems, Side, Step, TranscodePair,
+};
 
-/// Emits the transcoder module for `plans`.
-#[must_use]
-pub fn emit(plans: &TranscodePlans) -> String {
+/// Emits the transcoder module for `pair`.
+///
+/// # Errors
+/// The two sides disagree on a message's shape, or a fusion fails the
+/// pair check.
+pub fn emit(pair: &TranscodePair) -> Result<String, String> {
     let mut e = Emit {
-        plans,
+        pair,
         out: String::new(),
         tmp: 0,
         depth: 0,
     };
-    e.module();
-    e.out
+    e.module()?;
+    Ok(e.out)
 }
 
-/// One emission direction: which encoding is read and which is
-/// written, and which outline helper family the direction calls.
+/// One direction: the side read and the side written, and the outline
+/// helper family it calls.
 #[derive(Clone, Copy)]
 struct Dir<'a> {
-    from: &'a Encoding,
-    to: &'a Encoding,
-    /// Helper-name suffix (`fwd` = src→dst, `rev` = dst→src).
+    from: &'a Side,
+    to: &'a Side,
+    /// Helper-name prefix (`fwd` = src→dst, `rev` = dst→src).
     tag: &'static str,
 }
 
+/// How a rewrite treats agreeing runs and presented values.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// Agreeing runs block-copy; strings borrow.
+    Fused,
+    /// No block copies; strings still borrow (`fuse-transcode` off).
+    Unfused,
+    /// Decode-then-re-encode: no block copies, strings and scalar
+    /// sequences materialize.
+    Naive,
+}
+
 struct Emit<'a> {
-    plans: &'a TranscodePlans,
+    pair: &'a TranscodePair,
     out: String,
     tmp: u32,
     depth: usize,
@@ -57,16 +75,16 @@ struct Emit<'a> {
 impl<'a> Emit<'a> {
     fn fwd(&self) -> Dir<'a> {
         Dir {
-            from: &self.plans.src,
-            to: &self.plans.dst,
+            from: &self.pair.src,
+            to: &self.pair.dst,
             tag: "fwd",
         }
     }
 
     fn rev(&self) -> Dir<'a> {
         Dir {
-            from: &self.plans.dst,
-            to: &self.plans.src,
+            from: &self.pair.dst,
+            to: &self.pair.src,
             tag: "rev",
         }
     }
@@ -94,74 +112,62 @@ impl<'a> Emit<'a> {
         format!("_{prefix}{}", self.tmp)
     }
 
-    // -----------------------------------------------------------------
-    // Module shell.
-    // -----------------------------------------------------------------
+    /// The distinct operations as `(read-side stub, write-side stub)`
+    /// of the source and target MIR, in stub order.
+    fn ops(&self) -> Vec<(&'a StubPlan, &'a StubPlan)> {
+        let (src, dst) = (&self.pair.src.mir.stubs, &self.pair.dst.mir.stubs);
+        let mut seen = std::collections::HashSet::new();
+        src.iter()
+            .zip(dst)
+            .filter(|(s, _)| seen.insert(s.op.name.as_str()))
+            .collect()
+    }
 
-    fn module(&mut self) {
-        let p = self.plans;
+    fn module(&mut self) -> Result<(), String> {
+        let p = self.pair;
+        let (src, dst) = (p.src.enc.name, p.dst.enc.name);
         let _ = write!(
             self.out,
-            "//! Flick-generated transcoder — interface `{}`, `{}` → `{}`.\n\
+            "//! Flick-generated transcoder — interface `{}`, `{src}` → `{dst}`.\n\
              //! Generated by flick-backend; do not edit.\n\
              #![allow(clippy::all, dead_code, unused_variables, unused_mut, unused_imports, unused_parens, non_snake_case, non_camel_case_types)]\n\
              \n\
              use flick_runtime::bridge::BridgeOp;\n\
              use flick_runtime::buf::{{MarshalBuf, MsgReader}};\n\
              use flick_runtime::error::DecodeError;\n\
-             \n",
-            p.interface, p.src.name, p.dst.name
+             \n\
+             /// True when the `fuse-transcode` pass collapsed agreeing runs;\n\
+             /// false for the decode-then-re-encode ablation build.\n\
+             pub const FUSED: bool = {};\n\
+             /// Source (client-facing) encoding.\n\
+             pub const SRC_ENCODING: &str = \"{src}\";\n\
+             /// Target (server-facing) encoding.\n\
+             pub const DST_ENCODING: &str = \"{dst}\";\n\
+             /// Byte-order flag for outgoing GIOP headers on the target side.\n\
+             pub const DST_LITTLE_ENDIAN: bool = {};\n\
+             /// ONC RPC program / version on the source side (the wire\n\
+             /// header carries 32 bits; synthesized CORBA ids truncate).\n\
+             pub const PROGRAM: u32 = {}u32;\n\
+             pub const VERSION: u32 = {}u32;\n\n",
+            p.interface,
+            p.fused,
+            p.dst.enc.order == Order::Little,
+            p.program as u32,
+            p.version as u32,
         );
-        self.line("/// True when the `fuse-transcode` pass collapsed agreeing runs;");
-        self.line("/// false for the decode-then-re-encode ablation build.");
-        let _ = writeln!(self.out, "pub const FUSED: bool = {};", p.fused);
-        self.line("/// Source (client-facing) encoding.");
-        let _ = writeln!(
-            self.out,
-            "pub const SRC_ENCODING: &str = \"{}\";",
-            p.src.name
-        );
-        self.line("/// Target (server-facing) encoding.");
-        let _ = writeln!(
-            self.out,
-            "pub const DST_ENCODING: &str = \"{}\";",
-            p.dst.name
-        );
-        self.line("/// Byte-order flag for outgoing GIOP headers on the target side.");
-        let _ = writeln!(
-            self.out,
-            "pub const DST_LITTLE_ENDIAN: bool = {};",
-            p.dst.order == Order::Little
-        );
-        self.line("/// ONC RPC program / version on the source side (the wire");
-        self.line("/// header carries 32 bits; synthesized CORBA ids truncate).");
-        let _ = writeln!(
-            self.out,
-            "pub const PROGRAM: u32 = {}u32;",
-            p.program as u32
-        );
-        let _ = writeln!(
-            self.out,
-            "pub const VERSION: u32 = {}u32;\n",
-            p.version as u32
-        );
-
-        self.bridge_table();
-
-        let stubs: Vec<TranscodePlan> = p.stubs.clone();
-        for stub in &stubs {
-            self.op_fns(stub);
+        let ops = self.ops();
+        self.bridge_table(&ops);
+        for (s, d) in &ops {
+            self.op_fns(s, d)?;
         }
-
-        self.dispatchers(&stubs);
-        self.outline_helpers();
+        self.dispatchers(&ops)?;
+        self.outline_helpers()
     }
 
-    fn bridge_table(&mut self) {
+    fn bridge_table(&mut self, ops: &[(&StubPlan, &StubPlan)]) {
         self.line("/// Per-operation gateway table consumed by `flick_runtime::bridge`.");
         self.open("pub static BRIDGE_OPS: &[BridgeOp] = &[");
-        let stubs = self.plans.stubs.clone();
-        for s in &stubs {
+        for (s, _) in ops {
             let n = &s.op.name;
             self.open("BridgeOp {");
             self.line(&format!("proc_num: {}u32,", s.op.request_code));
@@ -181,397 +187,432 @@ impl<'a> Emit<'a> {
         self.line("");
     }
 
-    // -----------------------------------------------------------------
-    // Per-operation functions.
-    // -----------------------------------------------------------------
-
-    fn op_fns(&mut self, stub: &TranscodePlan) {
-        let n = stub.op.name.clone();
-        let (src, dst) = (self.plans.src.name, self.plans.dst.name);
-        self.body_fn(
-            &format!("transcode_{n}_request"),
-            &format!("Rewrites the `{n}` request body {src} → {dst} (fused when the plan is)."),
-            &stub.request,
-            self.fwd(),
-            false,
-        );
-        self.body_fn(
-            &format!("transcode_{n}_reply"),
-            &format!("Rewrites the `{n}` reply body {dst} → {src}."),
-            &stub.reply,
-            self.rev(),
-            false,
-        );
-        self.body_fn(
-            &format!("transcode_{n}_request_naive"),
-            &format!("Slot-wise `{n}` request rewrite (the fuse-transcode ablation path)."),
-            &stub.naive_request,
-            self.fwd(),
-            true,
-        );
-        self.body_fn(
-            &format!("transcode_{n}_reply_naive"),
-            &format!("Slot-wise `{n}` reply rewrite (the fuse-transcode ablation path)."),
-            &stub.naive_reply,
-            self.rev(),
-            true,
-        );
-        self.body_fn(
-            &format!("transcode_{n}_request_rev"),
-            &format!("Rewrites the `{n}` request body {dst} → {src} (reverse gateway)."),
-            &stub.request_rev,
-            self.rev(),
-            false,
-        );
-        self.body_fn(
-            &format!("transcode_{n}_reply_rev"),
-            &format!("Rewrites the `{n}` reply body {src} → {dst} (reverse gateway)."),
-            &stub.reply_rev,
-            self.fwd(),
-            false,
-        );
+    /// The six rewrites of one operation: request forward and reply in
+    /// reverse (primary and naive), then the reverse gateway's pair.
+    fn op_fns(&mut self, s: &StubPlan, d: &StubPlan) -> Result<(), String> {
+        let n = &s.op.name;
+        let (src, dst) = (self.pair.src.enc.name, self.pair.dst.enc.name);
+        let primary = if self.pair.fused {
+            Mode::Fused
+        } else {
+            Mode::Unfused
+        };
+        let (fwd, rev) = (self.fwd(), self.rev());
+        let naive_doc = "rewrite (the fuse-transcode ablation path).";
+        for (suffix, doc, read, write, dir, mode) in [
+            (
+                "request",
+                format!("Rewrites the `{n}` request body {src} → {dst} (fused when the plan is)."),
+                &s.request,
+                &d.request,
+                fwd,
+                primary,
+            ),
+            (
+                "reply",
+                format!("Rewrites the `{n}` reply body {dst} → {src}."),
+                &d.reply,
+                &s.reply,
+                rev,
+                primary,
+            ),
+            (
+                "request_naive",
+                format!("Slot-wise `{n}` request {naive_doc}"),
+                &s.request,
+                &d.request,
+                fwd,
+                Mode::Naive,
+            ),
+            (
+                "reply_naive",
+                format!("Slot-wise `{n}` reply {naive_doc}"),
+                &d.reply,
+                &s.reply,
+                rev,
+                Mode::Naive,
+            ),
+            (
+                "request_rev",
+                format!("Rewrites the `{n}` request body {dst} → {src} (reverse gateway)."),
+                &d.request,
+                &s.request,
+                rev,
+                primary,
+            ),
+            (
+                "reply_rev",
+                format!("Rewrites the `{n}` reply body {src} → {dst} (reverse gateway)."),
+                &s.reply,
+                &d.reply,
+                fwd,
+                primary,
+            ),
+        ] {
+            self.body_fn(
+                &format!("transcode_{n}_{suffix}"),
+                &doc,
+                read,
+                write,
+                dir,
+                mode,
+            )
+            .map_err(|e| format!("op `{n}` {suffix}: {e}"))?;
+        }
+        Ok(())
     }
 
-    fn body_fn(&mut self, name: &str, doc: &str, ops: &[XcOp], dir: Dir<'a>, naive: bool) {
+    fn body_fn(
+        &mut self,
+        name: &str,
+        doc: &str,
+        read: &MsgPlan,
+        write: &MsgPlan,
+        dir: Dir<'a>,
+        mode: Mode,
+    ) -> Result<(), String> {
+        if read.slots.len() != write.slots.len() {
+            return Err("the two sides disagree on the live slots".into());
+        }
         self.tmp = 0;
         self.line(&format!("/// {doc}"));
         self.open(&format!(
-            "pub fn {name}(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {{"
+            "pub fn {name}(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {{"
         ));
-        if ops.is_empty() {
-            self.line("let _ = (src, dst);");
+        if read.slots.is_empty() {
+            self.line("let _ = (src, buf);");
         } else {
             self.line("let mut _reader = MsgReader::new(src);");
             self.line("let r = &mut _reader;");
             self.line("let _sb = r.pos();");
-            self.line("let _db = dst.len();");
-            self.emit_ops(ops, dir, naive);
+            self.line("let _db = buf.len();");
+            for (s, d) in read.slots.iter().zip(&write.slots) {
+                self.node(&s.node, &d.node, dir, mode)
+                    .map_err(|e| format!("slot `{}`: {e}", s.name))?;
+            }
         }
         self.line("Ok(())");
         self.close("}");
         self.line("");
+        Ok(())
     }
 
     // -----------------------------------------------------------------
-    // Op emission.
+    // The lockstep walk.
     // -----------------------------------------------------------------
 
-    fn emit_ops(&mut self, ops: &[XcOp], dir: Dir<'a>, naive: bool) {
-        for op in ops {
-            self.emit_op(op, dir, naive);
-        }
-    }
-
-    fn emit_op(&mut self, op: &XcOp, dir: Dir<'a>, naive: bool) {
-        match op {
-            XcOp::Prim { src, dst } => self.emit_prim(*src, *dst, dir, naive),
-            XcOp::BlockCopy { bytes, parts } => {
-                let head = &parts[0];
-                self.src_align(dir, head.src.align);
-                self.dst_align(dir, head.dst.align);
-                self.line(&format!(
-                    "dst.put_bytes(r.bytes({bytes}usize)?); // fused: {} values block-copied",
-                    parts.iter().map(|p| p.count).sum::<u64>()
-                ));
+    fn node(&mut self, s: &PlanNode, d: &PlanNode, dir: Dir<'a>, mode: Mode) -> Result<(), String> {
+        match (s, d) {
+            (PlanNode::Void, PlanNode::Void) => {}
+            (
+                PlanNode::Prim { prim: sp, .. } | PlanNode::Enum { prim: sp },
+                PlanNode::Prim { prim: dp, .. } | PlanNode::Enum { prim: dp },
+            ) => self.value(*sp, *dp, dir, true, true),
+            (PlanNode::Packed { layout: sl, .. }, PlanNode::Packed { layout: dl, .. }) => {
+                self.src_align(dir, sl.align.min(8) as u8);
+                self.dst_align(dir, dl.align.min(8) as u8);
+                let steps = packed_steps(sl, dl, mode == Mode::Fused)?;
+                check_steps(&steps, mode == Mode::Fused)?;
+                self.steps(&steps, dir);
             }
-            XcOp::Pad { src, dst } => {
-                if *src > 0 {
-                    self.line(&format!("r.skip({src}usize)?; // source pad"));
+            (
+                PlanNode::String {
+                    bound,
+                    style,
+                    pad_unit,
+                    ..
+                },
+                PlanNode::String {
+                    style: to_style,
+                    pad_unit: to_pad,
+                    ..
+                },
+            ) => {
+                let lv = self.read_len(dir);
+                let (bytes, v) = (self.fresh("bytes"), self.fresh("s"));
+                let borrow = mode != Mode::Naive;
+                for l in string_read(&lv, &bytes, &v, *bound, *style, *pad_unit, borrow) {
+                    self.line(&l);
                 }
-                if *dst > 0 {
-                    self.line(&format!("dst.put_zeros({dst}usize); // target pad"));
+                self.dst_align(dir, 4);
+                for l in string_write(&dir.to.enc, &v, *to_style, *to_pad) {
+                    self.line(&l);
                 }
             }
-            XcOp::Str { bound } => self.emit_str(*bound, dir, naive),
-            XcOp::Counted {
-                bound,
-                elem,
-                bulk,
-                src_pad,
-                dst_pad,
-            } => self.emit_counted(*bound, elem, *bulk, *src_pad, *dst_pad, dir, naive),
-            XcOp::Fixed { len, elem } => {
-                let i = self.fresh("i");
-                self.open(&format!("for {i} in 0..{len}usize {{"));
-                self.emit_ops(elem, dir, naive);
-                self.close("}");
+            (PlanNode::Struct { fields: sf, .. }, PlanNode::Struct { fields: df, .. })
+                if sf.len() == df.len() =>
+            {
+                for ((_, a), (_, b)) in sf.iter().zip(df) {
+                    self.node(a, b, dir, mode)?;
+                }
             }
-            XcOp::Union {
-                src_disc,
-                dst_disc,
-                cases,
-                default,
-            } => self.emit_union(*src_disc, *dst_disc, cases, default.as_deref(), dir, naive),
-            XcOp::Opt {
-                src_flag,
-                dst_flag,
-                elem,
-            } => self.emit_opt(*src_flag, *dst_flag, elem, dir, naive),
-            XcOp::Outline { key } => {
-                self.line(&format!("xc_{}_{key}(r, dst, _sb, _db)?;", dir.tag));
-            }
-        }
-    }
-
-    fn emit_prim(&mut self, src: WirePrim, dst: WirePrim, dir: Dir<'a>, naive: bool) {
-        self.src_align(dir, src.align);
-        let v = self.fresh("v");
-        if src.float {
-            let fty = if src.size == 4 { "f32" } else { "f64" };
-            if naive {
-                // The naive twin materializes the presented float; the
-                // fused path moves raw bits.  `from_bits`/`to_bits`
-                // are bit-preserving, so the wire bytes agree.
-                self.line(&format!(
-                    "let {v} = {fty}::from_bits({});",
-                    read_expr(src, true)
-                ));
-                self.dst_align(dir, dst.align);
-                self.emit_write(dst, &format!("{v}.to_bits()"));
-            } else {
-                self.line(&format!(
-                    "let {v} = {}; // raw float bits",
-                    read_expr(src, true)
-                ));
-                self.dst_align(dir, dst.align);
-                self.emit_write(dst, &v);
-            }
-        } else {
-            self.line(&format!("let {v} = {};", read_expr(src, false)));
-            self.dst_align(dir, dst.align);
-            self.emit_write(dst, &v);
-        }
-    }
-
-    fn emit_write(&mut self, p: WirePrim, v: &str) {
-        self.line(&write_stmt(p, v));
-    }
-
-    fn emit_str(&mut self, bound: Option<u64>, dir: Dir<'a>, naive: bool) {
-        self.src_align(dir, dir.from.len_prefix().align);
-        let l = self.fresh("len");
-        self.line(&format!(
-            "let {l} = r.get_u32_{}()? as usize;",
-            sfx(dir.from.order)
-        ));
-        if let Some(b) = bound {
-            self.line(&format!(
-                "if {l} as u64 > {b} {{ return Err(DecodeError::BoundExceeded {{ got: {l} as u64, bound: {b} }}); }}"
-            ));
-        }
-        let bytes = self.fresh("bytes");
-        match dir.from.string_wire {
-            StringWire::CountedPadded => {
-                let u = u64::from(dir.from.pad_unit.unwrap_or(4));
-                self.line(&format!("let {bytes} = r.bytes({l})?;"));
-                self.line(&format!("r.skip(({u} - {l} % {u}) % {u})?;"));
-            }
-            StringWire::CountedNul => {
-                self.line(&format!(
-                    "if {l} == 0 {{ return Err(DecodeError::BadValue(\"CDR string length must include NUL\")); }}"
-                ));
-                self.line(&format!("let {bytes} = &r.bytes({l})?[..{l} - 1];"));
-            }
-        }
-        let s = self.fresh("s");
-        if naive {
-            self.line(&format!(
-                "let {s} = String::from_utf8({bytes}.to_vec()).map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?;"
-            ));
-        } else {
-            self.line(&format!(
-                "let {s} = std::str::from_utf8({bytes}).map_err(|_| DecodeError::BadValue(\"string is not UTF-8\"))?;"
-            ));
-        }
-        self.dst_align(dir, dir.to.len_prefix().align);
-        let osfx = sfx(dir.to.order);
-        match dir.to.string_wire {
-            StringWire::CountedPadded => {
-                let u = u64::from(dir.to.pad_unit.unwrap_or(4));
-                self.line(&format!("dst.put_u32_{osfx}({s}.len() as u32);"));
-                self.line(&format!("dst.put_bytes({s}.as_bytes());"));
-                self.line(&format!("dst.put_zeros(({u} - {s}.len() % {u}) % {u});"));
-            }
-            StringWire::CountedNul => {
-                self.line(&format!("dst.put_u32_{osfx}(({s}.len() + 1) as u32);"));
-                self.line(&format!("dst.put_bytes({s}.as_bytes());"));
-                self.line("dst.put_u8(0);");
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn emit_counted(
-        &mut self,
-        bound: Option<u64>,
-        elem: &[XcOp],
-        bulk: Option<u64>,
-        src_pad: bool,
-        dst_pad: bool,
-        dir: Dir<'a>,
-        naive: bool,
-    ) {
-        self.src_align(dir, dir.from.len_prefix().align);
-        let l = self.fresh("len");
-        self.line(&format!(
-            "let {l} = r.get_u32_{}()? as usize;",
-            sfx(dir.from.order)
-        ));
-        if let Some(b) = bound {
-            self.line(&format!(
-                "if {l} as u64 > {b} {{ return Err(DecodeError::BoundExceeded {{ got: {l} as u64, bound: {b} }}); }}"
-            ));
-        }
-        self.dst_align(dir, dir.to.len_prefix().align);
-        self.line(&format!("dst.put_u32_{}(({l}) as u32);", sfx(dir.to.order)));
-
-        if let (Some(b), false) = (bulk, naive) {
-            // The element tiles both streams: one bound-checked bulk
-            // move.  Zero-length sequences skip entirely so no stray
-            // alignment is consumed (the endpoints do the same).
-            let (sa, da) = match elem {
-                [XcOp::BlockCopy { parts, .. }] => (parts[0].src.align, parts[0].dst.align),
-                _ => (1, 1),
-            };
-            self.open(&format!("if {l} > 0 {{"));
-            self.src_align(dir, sa);
-            self.dst_align(dir, da);
-            self.line(&format!(
-                "dst.put_bytes(r.bytes({l} * {b}usize)?); // fused bulk copy"
-            ));
-            self.close("}");
-        } else if naive {
-            if let [XcOp::Prim { src, dst }] = elem {
-                // Scalar elements: the naive path materializes the
-                // presented vector, then re-encodes it.
-                let ty = scalar_type(*src);
-                let v = self.fresh("v");
-                let i = self.fresh("i");
-                self.line(&format!(
-                    "let mut {v}: Vec<{ty}> = Vec::with_capacity({l}.min(r.remaining() / {} + 1));",
-                    src.slot.max(1)
-                ));
-                self.open(&format!("for {i} in 0..{l} {{"));
-                self.src_align(dir, src.align);
-                if src.float {
+            (
+                PlanNode::Union {
+                    disc_prim: sd,
+                    cases: sc,
+                    default: sdef,
+                    ..
+                },
+                PlanNode::Union {
+                    disc_prim: dd,
+                    cases: dc,
+                    default: ddef,
+                    ..
+                },
+            ) if sc.len() == dc.len() && sdef.is_some() == ddef.is_some() => {
+                self.src_align(dir, sd.align);
+                let v = self.fresh("d");
+                self.line(&format!("let {v} = ({}) as i64;", get_prim_expr(*sd)));
+                self.dst_align(dir, dd.align);
+                self.line(&put_prim_call(*dd, &v));
+                self.open(&format!("match {v} {{"));
+                for ((label, _, a), (_, _, b)) in sc.iter().zip(dc) {
+                    self.open(&format!("{label}i64 => {{"));
+                    self.node(a, b, dir, mode)?;
+                    self.close("}");
+                }
+                if let (Some((_, a)), Some((_, b))) = (sdef, ddef) {
+                    self.open("_ => {");
+                    self.node(a, b, dir, mode)?;
+                    self.close("}");
+                } else {
                     self.line(&format!(
-                        "{v}.push({ty}::from_bits({}));",
-                        read_expr(*src, true)
+                        "_ => return Err(DecodeError::BadDiscriminator {{ value: {v} }}),"
                     ));
-                } else {
-                    self.line(&format!("{v}.push({});", read_expr(*src, false)));
                 }
-                self.close("}");
-                let e = self.fresh("e");
-                self.open(&format!("for {e} in &{v} {{"));
-                self.dst_align(dir, dst.align);
-                if dst.float {
-                    self.emit_write(*dst, &format!("(*{e}).to_bits()"));
-                } else {
-                    self.emit_write(*dst, &format!("*{e}"));
-                }
-                self.close("}");
-            } else {
-                let i = self.fresh("i");
-                self.open(&format!("for {i} in 0..{l} {{"));
-                self.emit_ops(elem, dir, naive);
                 self.close("}");
             }
+            (PlanNode::Optional { elem: a, .. }, PlanNode::Optional { elem: b, .. }) => {
+                let f = self.fresh("flag");
+                let flag = |side: &Side| side.enc.prim_for_size(1, false);
+                self.line(&format!("let {f} = {};", get_prim_expr(flag(dir.from))));
+                self.line(&format!(
+                    "match {f} {{ 0 | 1 => {{}} _ => return Err(DecodeError::BadValue(\"optional flag must be 0 or 1\")) }}"
+                ));
+                self.line(&put_prim_call(flag(dir.to), &f));
+                self.open(&format!("if {f} == 1 {{"));
+                self.node(a, b, dir, mode)?;
+                self.close("}");
+            }
+            (PlanNode::Outline { key }, PlanNode::Outline { key: k2 }) if key == k2 => {
+                self.line(&format!("xc_{}_{key}(r, buf, _sb, _db)?;", dir.tag));
+            }
+            _ => match (array_of(s), array_of(d)) {
+                (Some(a), Some(b)) => self.array(a, b, dir, mode)?,
+                _ => return Err(format!("encoding pair disagrees on shape: {s:?} vs {d:?}")),
+            },
+        }
+        Ok(())
+    }
+
+    /// Reads one value in form `sp` and writes it in form `dp`, each
+    /// side aligning first when it does so per value.
+    fn value(
+        &mut self,
+        sp: WirePrim,
+        dp: WirePrim,
+        dir: Dir<'a>,
+        align_src: bool,
+        align_dst: bool,
+    ) {
+        if align_src {
+            self.src_align(dir, sp.align);
+        }
+        let v = self.fresh("v");
+        self.line(&format!("let {v} = {};", get_prim_expr(sp)));
+        if align_dst {
+            self.dst_align(dir, dp.align);
+        }
+        self.line(&put_prim_call(dp, &v));
+    }
+
+    fn steps(&mut self, steps: &[Step], dir: Dir<'a>) {
+        for step in steps {
+            match step {
+                Step::Each(run) => {
+                    // Every slot is a multiple of its alignment, so
+                    // after the first value the run stays aligned.
+                    self.src_align(dir, run.src.align);
+                    self.dst_align(dir, run.dst.align);
+                    if run.count == 1 {
+                        self.value(run.src, run.dst, dir, false, false);
+                    } else {
+                        let i = self.fresh("i");
+                        self.open(&format!("for {i} in 0..{}usize {{", run.count));
+                        self.value(run.src, run.dst, dir, false, false);
+                        self.close("}");
+                    }
+                }
+                Step::Copy(runs) => {
+                    self.src_align(dir, runs[0].src.align);
+                    self.dst_align(dir, runs[0].dst.align);
+                    let bytes: u64 = runs.iter().map(|r| r.bytes()).sum();
+                    let values: u64 = runs.iter().map(|r| r.count).sum();
+                    self.line(&format!(
+                        "buf.put_bytes(r.bytes({bytes}usize)?); // fused: {values} values block-copied"
+                    ));
+                }
+                Step::Pad { src, dst } => {
+                    if *src > 0 {
+                        self.line(&format!("r.skip({src}usize)?; // source pad"));
+                    }
+                    if *dst > 0 {
+                        self.line(&format!("buf.put_zeros({dst}usize); // target pad"));
+                    }
+                }
+            }
+        }
+    }
+
+    fn array(
+        &mut self,
+        s: Array<'_>,
+        d: Array<'_>,
+        dir: Dir<'a>,
+        mode: Mode,
+    ) -> Result<(), String> {
+        let len = match (s.fixed_len, d.fixed_len) {
+            (None, None) => {
+                let lv = self.read_len(dir);
+                if let Some(b) = s.bound {
+                    self.line(&bound_check(&lv, b));
+                }
+                self.dst_align(dir, 4);
+                self.line(&len_prefix_call(&dir.to.enc, &lv));
+                lv
+            }
+            (Some(n), Some(m)) if n == m => format!("{n}usize"),
+            _ => return Err("encoding pair disagrees on an array's length".into()),
+        };
+        // A memcpy run aligns once before its data, even when empty.
+        if let Elems::Run { prim, .. } = s.elems {
+            self.src_align(dir, prim.align);
+        }
+        if let Elems::Run { prim, .. } = d.elems {
+            self.dst_align(dir, prim.align);
+        }
+        let (per_src, per_dst) = (
+            matches!(s.elems, Elems::Each(_)),
+            matches!(d.elems, Elems::Each(_)),
+        );
+        let fused = match mode {
+            Mode::Fused => bulk(&s.elems, &d.elems)?,
+            _ => None,
+        };
+        let scalars = (s.elems.scalar(), d.elems.scalar());
+        if let Some(b) = fused {
+            // Per-element sides align only when there is an element.
+            let guard = (per_src && self.src_aligns(dir, b.src_align))
+                || (per_dst && self.dst_aligns(dir, b.dst_align));
+            if guard {
+                self.open(&format!("if {len} > 0 {{"));
+            }
+            if per_src {
+                self.src_align(dir, b.src_align);
+            }
+            if per_dst {
+                self.dst_align(dir, b.dst_align);
+            }
+            self.line(&format!(
+                "buf.put_bytes(r.bytes({len} * {}usize)?); // fused bulk copy",
+                b.bytes
+            ));
+            if guard {
+                self.close("}");
+            }
+        } else if let (Mode::Naive, (Some(sp), Some(dp))) = (mode, scalars) {
+            // The naive twin materializes the presented vector, then
+            // re-encodes it.
+            let (v, i, e) = (self.fresh("v"), self.fresh("i"), self.fresh("e"));
+            self.line(&format!(
+                "let mut {v}: Vec<{}> = Vec::with_capacity({len}.min(r.remaining() / {} + 1));",
+                prim_rust_ty(sp),
+                sp.slot.max(1)
+            ));
+            self.open(&format!("for {i} in 0..{len} {{"));
+            if per_src {
+                self.src_align(dir, sp.align);
+            }
+            self.line(&format!("{v}.push({});", get_prim_expr(sp)));
+            self.close("}");
+            self.open(&format!("for {e} in &{v} {{"));
+            if per_dst {
+                self.dst_align(dir, dp.align);
+            }
+            self.line(&put_prim_call(dp, &format!("*{e}")));
+            self.close("}");
         } else {
             let i = self.fresh("i");
-            self.open(&format!("for {i} in 0..{l} {{"));
-            self.emit_ops(elem, dir, naive);
+            self.open(&format!("for {i} in 0..{len} {{"));
+            match (s.elems, d.elems, scalars) {
+                (_, _, (Some(sp), Some(dp))) => self.value(sp, dp, dir, per_src, per_dst),
+                (Elems::Each(a), Elems::Each(b), _) => self.node(a, b, dir, mode)?,
+                _ => return Err("encoding pair disagrees on an array element".into()),
+            }
             self.close("}");
         }
-
-        if src_pad {
-            let u = u64::from(dir.from.pad_unit.unwrap_or(4));
-            self.line(&format!("r.skip(({u} - {l} % {u}) % {u})?;"));
-        }
-        if dst_pad {
-            let u = u64::from(dir.to.pad_unit.unwrap_or(4));
-            self.line(&format!("dst.put_zeros(({u} - {l} % {u}) % {u});"));
-        }
-    }
-
-    fn emit_union(
-        &mut self,
-        src_disc: WirePrim,
-        dst_disc: WirePrim,
-        cases: &[(i64, Vec<XcOp>)],
-        default: Option<&[XcOp]>,
-        dir: Dir<'a>,
-        naive: bool,
-    ) {
-        self.src_align(dir, src_disc.align);
-        let d = self.fresh("d");
-        self.line(&format!(
-            "let {d} = ({}) as i64;",
-            read_expr(src_disc, src_disc.float)
-        ));
-        self.dst_align(dir, dst_disc.align);
-        self.emit_write(dst_disc, &d);
-        self.open(&format!("match {d} {{"));
-        for (v, body) in cases {
-            self.open(&format!("{v}i64 => {{"));
-            self.emit_ops(body, dir, naive);
-            self.close("}");
-        }
-        if let Some(body) = default {
-            self.open("_ => {");
-            self.emit_ops(body, dir, naive);
-            self.close("}");
-        } else {
+        if let Elems::Run {
+            prim,
+            pad_unit: Some(u),
+        } = s.elems
+        {
             self.line(&format!(
-                "_ => return Err(DecodeError::BadDiscriminator {{ value: {d} }}),"
+                "r.skip(({u} - ({len} * {}) % {u}) % {u})?;",
+                prim.size
             ));
         }
-        self.close("}");
+        if let Elems::Run {
+            pad_unit: Some(u), ..
+        } = d.elems
+        {
+            self.line(&format!("buf.align_to({u});"));
+        }
+        Ok(())
     }
 
-    fn emit_opt(
-        &mut self,
-        src_flag: WirePrim,
-        dst_flag: WirePrim,
-        elem: &[XcOp],
-        dir: Dir<'a>,
-        naive: bool,
-    ) {
-        self.src_align(dir, src_flag.align);
-        let f = self.fresh("flag");
-        self.line(&format!("let {f} = {};", read_expr(src_flag, false)));
-        self.line(&format!(
-            "match {f} {{ 0 | 1 => {{}} _ => return Err(DecodeError::BadValue(\"optional flag must be 0 or 1\")) }}"
-        ));
-        self.dst_align(dir, dst_flag.align);
-        self.emit_write(dst_flag, &f);
-        self.open(&format!("if {f} == 1 {{"));
-        self.emit_ops(elem, dir, naive);
-        self.close("}");
+    /// Reads an aligned count prefix on the source side.
+    fn read_len(&mut self, dir: Dir<'a>) -> String {
+        self.src_align(dir, 4);
+        let l = self.fresh("len");
+        self.line(&format!("let {l} = {};", len_prefix_expr(&dir.from.enc)));
+        l
     }
 
-    /// Source-stream alignment before a read.  Word-widening encodings
-    /// (XDR) keep the stream 4-aligned by construction, so only
-    /// naturally-aligned encodings (CDR) emit a skip — mirroring the
-    /// endpoint decoders.
+    /// Word-widening encodings (XDR) keep the stream aligned by
+    /// construction; only naturally aligned ones (CDR) skip.
+    fn src_aligns(&self, dir: Dir<'a>, align: u8) -> bool {
+        !dir.from.enc.widen_to_word && align > 1
+    }
+
+    fn dst_aligns(&self, dir: Dir<'a>, align: u8) -> bool {
+        !dir.to.enc.widen_to_word && align > 1
+    }
+
     fn src_align(&mut self, dir: Dir<'a>, align: u8) {
-        if !dir.from.widen_to_word && align > 1 {
-            self.line(&format!("r.align_from(_sb, {align})?;"));
+        if self.src_aligns(dir, align) {
+            self.align_line(&format!("r.align_from(_sb, {align})?;"));
         }
     }
 
-    /// Target-stream alignment before a write.
     fn dst_align(&mut self, dir: Dir<'a>, align: u8) {
-        if !dir.to.widen_to_word && align > 1 {
-            self.line(&format!("dst.align_from(_db, {align});"));
+        if self.dst_aligns(dir, align) {
+            self.align_line(&format!("buf.align_from(_db, {align});"));
+        }
+    }
+
+    /// Emits an alignment unless the previous line is the same one.
+    fn align_line(&mut self, s: &str) {
+        let indented = format!("{}{s}\n", "    ".repeat(self.depth));
+        if !self.out.ends_with(&indented) {
+            self.out.push_str(&indented);
         }
     }
 
     // -----------------------------------------------------------------
-    // Dispatchers.
+    // Dispatchers and outline helpers.
     // -----------------------------------------------------------------
 
-    fn dispatchers(&mut self, stubs: &[TranscodePlan]) {
+    fn dispatchers(&mut self, ops: &[(&StubPlan, &StubPlan)]) -> Result<(), String> {
         for (fn_name, member, ret) in [
             ("transcode_request", "request", true),
             ("transcode_request_naive", "request_naive", true),
@@ -584,21 +625,18 @@ impl<'a> Emit<'a> {
                 "/// Dispatches a `{member}` rewrite on the source procedure number."
             ));
             self.open(&format!(
-                "pub fn {fn_name}(proc_num: u32, src: &[u8], dst: &mut MarshalBuf) -> Result<{ret_ty}, DecodeError> {{"
+                "pub fn {fn_name}(proc_num: u32, src: &[u8], buf: &mut MarshalBuf) -> Result<{ret_ty}, DecodeError> {{"
             ));
             self.open("match proc_num {");
-            for s in stubs {
-                let n = &s.op.name;
+            for (s, _) in ops {
+                let (n, code) = (&s.op.name, s.op.request_code);
                 if ret {
                     self.line(&format!(
-                        "{}u32 => {{ transcode_{n}_{member}(src, dst)?; Ok(\"{}\") }}",
-                        s.op.request_code, s.op.wire_name
+                        "{code}u32 => {{ transcode_{n}_{member}(src, buf)?; Ok(\"{}\") }}",
+                        s.op.wire_name
                     ));
                 } else {
-                    self.line(&format!(
-                        "{}u32 => transcode_{n}_{member}(src, dst),",
-                        s.op.request_code
-                    ));
+                    self.line(&format!("{code}u32 => transcode_{n}_{member}(src, buf),"));
                 }
             }
             self.line("_ => Err(DecodeError::BadHeader(\"unknown procedure\")),");
@@ -606,176 +644,94 @@ impl<'a> Emit<'a> {
             self.close("}");
             self.line("");
         }
-        self.name_trie(stubs);
-    }
-
-    /// The reverse-gateway request dispatcher: a word-switch trie over
-    /// the source operation name (the same discrimination structure the
-    /// `demux-switch` pass builds for endpoint servers), returning the
-    /// target procedure number.
-    fn name_trie(&mut self, stubs: &[TranscodePlan]) {
-        self.line("/// Reads a zero-padded machine word of the discriminator.");
-        self.line("#[inline]");
-        self.open("fn word_at(s: &[u8], i: usize) -> u32 {");
-        self.line("let mut w = [0u8; 4];");
-        self.open("if i < s.len() {");
-        self.line("let n = (s.len() - i).min(4);");
-        self.line("w[..n].copy_from_slice(&s[i..i + n]);");
-        self.close("}");
-        self.line("u32::from_ne_bytes(w)");
-        self.close("}");
-        self.line("");
+        // The reverse gateway's request dispatch: the endpoint
+        // `demux-switch` trie over the source operation name.
+        self.out.push_str(WORD_AT_FN);
         self.line("/// Reverse-gateway request dispatch on the wire operation name,");
         self.line("/// demultiplexed word by word; returns the procedure number for");
         self.line("/// the outgoing call header.");
-        self.open("pub fn transcode_request_by_name(op: &[u8], src: &[u8], dst: &mut MarshalBuf) -> Result<u32, DecodeError> {");
-        self.trie_level(stubs, 0);
+        self.open("pub fn transcode_request_by_name(op: &[u8], src: &[u8], buf: &mut MarshalBuf) -> Result<u32, DecodeError> {");
+        let (root, _) = crate::passes::demux::trie(&self.pair.src.mir.stubs);
+        let d = self.depth;
+        trie_node(self, &root, d)?;
         self.close("}");
         self.line("");
+        Ok(())
     }
 
-    fn trie_level(&mut self, group: &[TranscodePlan], word: usize) {
-        self.open(&format!("match word_at(op, {}) {{", word * 4));
-        let mut groups: BTreeMap<u32, Vec<&TranscodePlan>> = BTreeMap::new();
-        for s in group {
-            groups
-                .entry(word_of(s.op.wire_name.as_bytes(), word * 4))
-                .or_default()
-                .push(s);
-        }
-        for (w, g) in groups {
-            let leaf = g.len() == 1 && (word + 1) * 4 >= g[0].op.wire_name.len();
-            if leaf {
-                let s = g[0];
-                self.open(&format!(
-                    "{w}u32 if op.len() == {} => {{ // \"{}\"",
-                    s.op.wire_name.len(),
-                    s.op.wire_name
-                ));
-                self.line(&format!("transcode_{}_request_rev(src, dst)?;", s.op.name));
-                self.line(&format!("Ok({}u32)", s.op.request_code));
-                self.close("}");
-            } else {
-                self.open(&format!("{w}u32 => {{"));
-                let owned: Vec<TranscodePlan> = g.into_iter().cloned().collect();
-                self.trie_level(&owned, word + 1);
-                self.close("}");
-            }
-        }
-        self.line("_ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),");
-        self.close("}");
-    }
-
-    // -----------------------------------------------------------------
-    // Outline helpers (recursive presentations).
-    // -----------------------------------------------------------------
-
-    fn outline_helpers(&mut self) {
-        for (tag, table) in [
-            ("fwd", self.plans.outlines_fwd.clone()),
-            ("rev", self.plans.outlines_rev.clone()),
-        ] {
-            let dir = if tag == "fwd" { self.fwd() } else { self.rev() };
-            for (key, body) in &table {
+    /// Recursive types stay out of line, one helper per direction,
+    /// emitted naive (recursion dominates their cost anyway).
+    fn outline_helpers(&mut self) -> Result<(), String> {
+        for dir in [self.fwd(), self.rev()] {
+            for (key, body) in &dir.from.mir.outlines {
+                let to = dir
+                    .to
+                    .mir
+                    .outlines
+                    .get(key)
+                    .ok_or_else(|| format!("outline `{key}` lowered on one side only"))?;
                 self.tmp = 0;
                 self.line(&format!(
                     "/// Out-of-line rewrite of recursive type `{key}` ({} → {}).",
-                    dir.from.name, dir.to.name
+                    dir.from.enc.name, dir.to.enc.name
                 ));
                 self.open(&format!(
-                    "fn xc_{tag}_{key}(r: &mut MsgReader<'_>, dst: &mut MarshalBuf, _sb: usize, _db: usize) -> Result<(), DecodeError> {{"
+                    "fn xc_{}_{key}(r: &mut MsgReader<'_>, buf: &mut MarshalBuf, _sb: usize, _db: usize) -> Result<(), DecodeError> {{",
+                    dir.tag
                 ));
-                self.emit_ops(body, dir, true);
+                self.node(body, to, dir, Mode::Naive)
+                    .map_err(|e| format!("outline `{key}`: {e}"))?;
                 self.line("Ok(())");
                 self.close("}");
                 self.line("");
             }
         }
+        Ok(())
     }
 }
 
-// ---------------------------------------------------------------------------
-// Expression tables.
-// ---------------------------------------------------------------------------
-
-fn sfx(order: Order) -> &'static str {
-    match order {
-        Order::Big => "be",
-        Order::Little => "le",
+impl WordSwitch for Emit<'_> {
+    fn line(&mut self, depth: usize, s: &str) {
+        let saved = std::mem::replace(&mut self.depth, depth);
+        Emit::line(self, s);
+        self.depth = saved;
     }
-}
 
-/// The read expression for one wire form, yielding the value's natural
-/// Rust type (or raw bits when `as_bits` is set, for floats).
-fn read_expr(p: WirePrim, as_bits: bool) -> String {
-    let s = sfx(p.order);
-    if p.float || as_bits {
-        return match p.slot {
-            8 => format!("r.get_u64_{s}()?"),
-            _ => format!("r.get_u32_{s}()?"),
+    fn wire_name(&self, op: &str) -> Result<String, String> {
+        self.stub(op).map(|s| s.op.wire_name.clone())
+    }
+
+    fn leaf(&mut self, op: &str, depth: usize) -> Result<(), String> {
+        let (name, code) = {
+            let s = self.stub(op)?;
+            (s.op.name.clone(), s.op.request_code)
         };
-    }
-    match (p.slot, p.size, p.signed) {
-        (1, _, false) => "r.get_u8()?".into(),
-        (1, _, true) => "r.get_u8()? as i8".into(),
-        (2, _, false) => format!("r.get_u16_{s}()?"),
-        (2, _, true) => format!("r.get_u16_{s}()? as i16"),
-        (4, 4, false) => format!("r.get_u32_{s}()?"),
-        (4, 4, true) => format!("r.get_u32_{s}()? as i32"),
-        // Widened sub-word values: decode the 4-byte slot, then narrow
-        // exactly as the endpoint decoder does (hostile high bits
-        // truncate identically).
-        (4, sz, false) => format!("r.get_u32_{s}()? as u{}", u32::from(sz) * 8),
-        (4, sz, true) => format!("r.get_u32_{s}()? as i32 as i{}", u32::from(sz) * 8),
-        (8, _, false) => format!("r.get_u64_{s}()?"),
-        (8, _, true) => format!("r.get_u64_{s}()? as i64"),
-        other => unreachable!("unsupported wire form {other:?}"),
+        WordSwitch::line(
+            self,
+            depth,
+            &format!("transcode_{name}_request_rev(src, buf)?;"),
+        );
+        WordSwitch::line(self, depth, &format!("Ok({code}u32)"));
+        Ok(())
     }
 }
 
-/// The write statement for one wire form from value expression `v`
-/// (already raw bits for floats).
-fn write_stmt(p: WirePrim, v: &str) -> String {
-    let s = sfx(p.order);
-    if p.float {
-        return match p.slot {
-            8 => format!("dst.put_u64_{s}(({v}) as u64);"),
-            _ => format!("dst.put_u32_{s}(({v}) as u32);"),
-        };
-    }
-    match (p.slot, p.size, p.signed) {
-        (1, _, _) => format!("dst.put_u8(({v}) as u8);"),
-        (2, _, _) => format!("dst.put_u16_{s}(({v}) as u16);"),
-        // Widened signed values sign-extend into the 4-byte slot.
-        (4, sz, true) if sz < 4 => format!("dst.put_u32_{s}((({v}) as i32) as u32);"),
-        (4, _, _) => format!("dst.put_u32_{s}(({v}) as u32);"),
-        (8, _, _) => format!("dst.put_u64_{s}(({v}) as u64);"),
-        other => unreachable!("unsupported wire form {other:?}"),
-    }
-}
-
-/// The presented Rust scalar type for a wire form (naive-path
-/// materialization).
-fn scalar_type(p: WirePrim) -> String {
-    if p.float {
-        if p.size == 4 {
-            "f32".into()
-        } else {
-            "f64".into()
-        }
-    } else {
-        format!(
-            "{}{}",
-            if p.signed { "i" } else { "u" },
-            u32::from(p.size) * 8
-        )
+impl<'a> Emit<'a> {
+    fn stub(&self, op: &str) -> Result<&'a StubPlan, String> {
+        self.pair
+            .src
+            .mir
+            .stubs
+            .iter()
+            .find(|s| s.op.name == op)
+            .ok_or_else(|| format!("demux trie names unknown operation `{op}`"))
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::compile_transcode;
+    use crate::encoding::Encoding;
     use flick_idl::diag::Diagnostics;
     use flick_pres::Side;
 
@@ -794,6 +750,14 @@ mod tests {
         let presc =
             flick_presgen::corba_c(&aoi, "Bench", Side::Server, &mut d).expect("presentation");
         compile_transcode(&presc, &Encoding::xdr(), &Encoding::cdr_le(), fused).expect("emit")
+    }
+
+    /// The body of generated function `name`.
+    fn body<'s>(src: &'s str, name: &str) -> &'s str {
+        src.split(&format!("pub fn {name}("))
+            .nth(1)
+            .and_then(|rest| rest.split("\n}\n").next())
+            .unwrap_or_else(|| panic!("no `{name}` in:\n{src}"))
     }
 
     #[test]
@@ -825,35 +789,58 @@ mod tests {
     fn fused_source_block_copies_where_the_ablated_one_loops() {
         let fused = source(true);
         let naive = source(false);
-        // XDR→CDR-LE disagrees on i32 order, so the stat body stays
-        // slot-wise — but the packed 16-byte tag block-copies.
-        assert!(fused.contains("dst.put_bytes(r.bytes(16usize)?); // fused"));
-        // The ablated module must not fuse even its primary functions.
-        let primary_naive = naive
-            .split("pub fn transcode_echo_stat_request(")
-            .nth(1)
-            .and_then(|rest| rest.split("pub fn ").next())
-            .expect("primary echo_stat request body");
-        assert!(
-            !primary_naive.contains("// fused"),
-            "ablated primary body must stay slot-wise:\n{primary_naive}"
-        );
+        // XDR→CDR-LE disagrees on i32 order, so the stat's longs stay
+        // value-wise — but the packed 16-byte tag block-copies.
+        assert!(body(&fused, "transcode_echo_stat_request")
+            .contains("buf.put_bytes(r.bytes(16usize)?); // fused"));
+        // The naive twins never fuse, and the ablated module fuses
+        // nowhere, not even in its primary functions.
+        assert!(!body(&fused, "transcode_echo_stat_request_naive").contains("// fused"));
+        assert!(!naive.contains("// fused"), "{naive}");
         assert!(naive.contains("pub const FUSED: bool = false;"));
     }
 
     #[test]
     fn string_rewrites_translate_framing_conventions() {
         let s = source(true);
-        // XDR source: counted + padded, no NUL; CDR target: count
+        let fwd = body(&s, "transcode_name_of_request");
+        // XDR source: counted + padded, no NUL; CDR target: the count
         // includes a NUL terminator.
-        assert!(s.contains("r.skip((4 - _len"));
-        assert!(s.contains(".len() + 1) as u32);"));
-        assert!(s.contains("dst.put_u8(0);"));
+        assert!(fwd.contains("r.skip((4 - _len"), "{fwd}");
+        assert!(fwd.contains(".len() + 1) as u32);"), "{fwd}");
+        assert!(fwd.contains("buf.put_u8(0);"), "{fwd}");
         // Bound checks survive fusion.
-        assert!(s.contains("DecodeError::BoundExceeded { got:"));
+        assert!(fwd.contains("DecodeError::BoundExceeded { got:"), "{fwd}");
         // Borrowed on the fused path, owned on the naive twins.
-        assert!(s.contains("std::str::from_utf8("));
-        assert!(s.contains("String::from_utf8("));
+        assert!(fwd.contains("std::str::from_utf8("), "{fwd}");
+        let naive = body(&s, "transcode_name_of_request_naive");
+        assert!(naive.contains("String::from_utf8("), "{naive}");
+        // CDR source on the way back: the NUL is checked and dropped,
+        // the XDR count excludes it and pads.
+        let back = body(&s, "transcode_name_of_reply");
+        assert!(
+            back.contains("CDR string length must include NUL"),
+            "{back}"
+        );
+        assert!(back.contains("buf.align_to(4);"), "{back}");
+    }
+
+    #[test]
+    fn packed_chunks_align_like_the_endpoints() {
+        // A CDR chunk starts at its own alignment, as the endpoint
+        // encoder places it — not at its first member's: after the
+        // leading long, `M` (a char, then a double) starts at offset 8.
+        let idl = "struct M { char c; double d; }; interface T { void f(in long lead, in M m); };";
+        let aoi = flick_frontend_corba::parse_str("t.idl", idl);
+        let mut d = Diagnostics::new();
+        let presc = flick_presgen::corba_c(&aoi, "T", Side::Server, &mut d).expect("presentation");
+        let s = compile_transcode(&presc, &Encoding::xdr(), &Encoding::cdr_le(), true).unwrap();
+        assert!(
+            body(&s, "transcode_f_request").contains(
+                "buf.put_u32_le((_v1) as u32);\n    buf.align_from(_db, 8);\n    let _v2 = r.get_u32_be()? as u8;"
+            ),
+            "{s}"
+        );
     }
 
     #[test]

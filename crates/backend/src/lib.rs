@@ -50,26 +50,26 @@ pub use mir::{PlanStats, StubPlans};
 pub use opts::OptFlags;
 pub use passes::{MirDump, MirPass, PassPipeline, PassSpan, PASS_NAMES};
 pub use plan::Parallelism;
-pub use transcode::{TranscodePlan, TranscodePlans, XcOp, XcPart, XcStats};
+pub use transcode::TranscodePair;
 
 use flick_pres::PresC;
 
-/// Lowers `presc` into an encoding-pair rewrite (`src` → `dst`) and
+/// Lowers `presc` once per encoding of the pair (`src` → `dst`) and
 /// emits the generated transcoder module — the `--transcode=SRC:DST`
 /// path.  `fused` mirrors the `fuse-transcode` pass toggle; when off,
-/// the primary rewrites are the naive slot-wise ones.
+/// the primary rewrites never block-copy.
 ///
 /// # Errors
 /// Returns a message when an encoding or presentation construct cannot
-/// be transcoded (typed-descriptor encodings, non-atomic scalars).
+/// be transcoded (typed-descriptor encodings, a side the MIR verifier
+/// or the pair check rejects).
 pub fn compile_transcode(
     presc: &PresC,
     src: &Encoding,
     dst: &Encoding,
     fused: bool,
 ) -> Result<String, String> {
-    let plans = transcode::plan(presc, src, dst, fused)?;
-    Ok(emit_transcode::emit(&plans))
+    emit_transcode::emit(&transcode::plan(presc, src, dst, fused)?)
 }
 
 /// Which transport family a back end serves (paper: CORBA IIOP/TCP,

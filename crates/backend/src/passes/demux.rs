@@ -20,24 +20,29 @@ impl MirPass for DemuxSwitch {
     }
 
     fn run(&self, mir: &mut StubPlans, _cx: &PassCx) -> PlanResult<u64> {
-        // One dispatch entry per distinct operation, in stub order.
-        let mut seen = HashSet::new();
-        let ops: Vec<&StubPlan> = mir
-            .stubs
-            .iter()
-            .filter(|s| seen.insert(s.op.name.clone()))
-            .collect();
-        let mut nodes = 0;
-        let trie = build(&ops, 0, &mut nodes);
+        let (trie, nodes) = trie(&mir.stubs);
         mir.demux = Demux::Trie(trie);
         Ok(nodes)
     }
 }
 
+/// The word-switch trie over the distinct operations of `stubs` (one
+/// dispatch entry per operation, in stub order), with its node count.
+pub(crate) fn trie(stubs: &[StubPlan]) -> (DemuxNode, u64) {
+    let mut seen = HashSet::new();
+    let ops: Vec<&StubPlan> = stubs
+        .iter()
+        .filter(|s| seen.insert(s.op.name.clone()))
+        .collect();
+    let mut nodes = 0;
+    let trie = build(&ops, 0, &mut nodes);
+    (trie, nodes)
+}
+
 /// The native-endian 4-byte word of `name` starting at `at`,
 /// zero-padded past the end — the same value the generated `word_at`
 /// helper reads from the wire.
-pub(crate) fn word_of(name: &[u8], at: usize) -> u32 {
+fn word_of(name: &[u8], at: usize) -> u32 {
     let mut w = [0u8; 4];
     if at < name.len() {
         let n = (name.len() - at).min(4);

@@ -13,16 +13,19 @@
 //! | 4     | `hoist-checks`    | §3.1  | one up-front `ensure` per message     |
 //! | 5     | `form-chunks`     | §3.2  | packed constant-offset regions        |
 //! | 6     | `coalesce-memcpy` | §3.2  | scalar arrays become block copies     |
-//! | 7     | `fuse-transcode`  | §4    | encoding-pair runs become bulk copies |
+//! | 7     | `fuse-transcode`  | §4    | agreeing encoding-pair runs block-copy|
 //! | 8     | `inline-marshal`  | §3.3  | absorb out-of-line marshal calls      |
 //! | 9     | `reply-alias`     | §3.2  | echoed replies reuse request bytes    |
 //! | 10    | `demux-switch`    | §3.4  | word-wise server demultiplex trie     |
 //! | 11    | `merge-prefix`    | §3.4  | shared unmarshal prefix above the trie|
 //!
-//! `fuse-transcode` is special: its decision applies when an
-//! encoding-*pair* (gateway) plan is built, not to endpoint MIR — see
-//! [`fuse`] — but it lives in the shared vocabulary so `--disable-pass`
-//! validation, pipeline fingerprints, and ablations treat it uniformly.
+//! `fuse-transcode` is special: a gateway lowers the presentation once
+//! per encoding through passes 1, 5, 6 and 8, and this pass's decision
+//! applies to the resulting *pair* of MIRs (block copies where both
+//! sides' `Packed`/`MemcpyArray` layouts agree), not to endpoint MIR —
+//! see [`fuse`] — but it lives in the shared vocabulary so
+//! `--disable-pass` validation, pipeline fingerprints, and ablations
+//! treat it uniformly.
 //!
 //! The pipeline times each pass, counts its decisions, optionally runs
 //! the MIR verifier between passes (debug/test builds), and finishes

@@ -1,1353 +1,672 @@
 //! Encoding→encoding transcode plans (the cross-encoding gateway).
 //!
-//! Everything else in this backend lowers one side of the shape
-//! "wire ↔ presentation".  This module generalizes the MIR to target a
-//! *pair* of encodings: from the same MINT/PRES-C input it lowers, per
-//! operation, a [`TranscodePlan`] whose ops rewrite bytes directly from
-//! a source encoding into a target encoding without ever materializing
-//! the presentation — the Fisher/Pucella/Reppy interoperability shape.
+//! A gateway rewrites a message from a source encoding into a target
+//! encoding without materializing the presentation.  Following
+//! Fisher/Pucella/Reppy, a converter is two marshalers over one type
+//! description: [`plan`] lowers every operation once per encoding with
+//! the endpoint lowering and the endpoint passes that fix the wire
+//! layout (`dead-slot`, `form-chunks`, `coalesce-memcpy`,
+//! `inline-marshal`), and the MIR verifier checks each side after every
+//! pass.  The result is a [`TranscodePair`]: the source encoding's MIR
+//! is the read side, the target's the write side, and both walk the
+//! same PRES slots in the same order.  The emitter
+//! (`crate::emit_transcode`) walks the two trees in lockstep, reading
+//! each value as the source decoder reads it and writing it as the
+//! target encoder writes it.
 //!
-//! Lowering walks the presentation tree with *both* encoding tables in
-//! hand and produces a flat list of [`XcOp`]s per message direction.
-//! The raw list is slot-wise: every scalar is a checked
-//! copy-with-reswizzle ([`XcOp::Prim`]), every counted region re-reads
-//! and re-writes its length prefix, every hostile check the endpoint
-//! decoder performs (bounds, NUL conventions, discriminator and
-//! optional-flag validity, UTF-8) is retained at the same stream
-//! position.  [`fuse`] then runs the transcode analogue of the
-//! `coalesce-memcpy` pass: adjacent prims whose two wire forms agree in
-//! layout collapse into [`XcOp::BlockCopy`] runs, fixed arrays of
-//! collapsed elements hoist into one block, and counted sequences whose
-//! element tiles both encodings bulk-copy `len * size` bytes behind the
-//! same bound check.
+//! `fuse-transcode` is the one decision that belongs to the pair, not
+//! to either side: where both sides' `Packed` chunks, or both sides'
+//! scalar arrays, lay a run out byte for byte alike, the run crosses as
+//! one block copy ([`packed_steps`], [`bulk`]).  The `_naive` twins are
+//! the same pair with that decision withheld — the trees as
+//! `fuse-transcode` receives them.
 //!
-//! Fusion admissibility is deliberately strict (see [`copyable`]):
+//! [`check_steps`] is the pair-agreement check every fusion passes:
 //!
-//! * sizes and slots must match exactly — an XDR-widened sub-word value
-//!   carries four wire bytes but only `size` meaningful ones, and the
-//!   naive decode path truncates hostile high bits; a block copy would
-//!   preserve them, so widened slots never fuse;
-//! * multi-byte values require equal byte order (bytes always fuse);
-//! * floats never fuse — the unfused path moves them as raw bits (see
-//!   the emitter), but they are kept slot-wise so the obligation stays
-//!   visible to the verifier;
-//! * padding is never copied: XDR pad bytes are rewritten as zeros
-//!   ([`XcOp::Pad`]), so hostile nonzero padding cannot leak through
-//!   the gateway.
-//!
-//! [`verify`] re-derives every fusion obligation from scratch, the same
-//! contract the pass-pipeline verifier provides for endpoint plans; the
-//! naive twin lists (the `--disable-pass=fuse-transcode` fallback) must
-//! contain no fused op at all.
+//! * widened slots never fuse — an XDR-widened sub-word value carries
+//!   four wire bytes but only `size` meaningful ones, and decoding
+//!   truncates hostile high bits that a copy would preserve;
+//! * floats never fuse (they cross as raw bits either way, but stay
+//!   value-wise so the obligation stays visible);
+//! * multi-byte runs fuse only when both sides use the same byte order;
+//! * padding is rewritten as zeros and never copied: pad bytes are
+//!   steps of their own, and a block never spans an alignment gap.
 
-use std::collections::BTreeMap;
-
-use flick_mint::{MintId, MintNode};
-use flick_pres::{PresC, PresId, PresNode, Stub};
+use flick_pres::PresC;
 
 use crate::encoding::{Encoding, WirePrim};
-use crate::mir::type_name_of;
+use crate::layout::{Packed, PackedItem};
+use crate::mir::{PlanNode, StubPlans};
+use crate::passes::{CoalesceMemcpy, DeadSlot, FormChunks, InlineMarshal, MirPass, PassCx};
+use crate::plan::{lower_presc, LowerOpts, Parallelism};
+use crate::verify::verify;
 
-/// One run-length-encoded component of a fused block copy: `count`
-/// consecutive values sharing a source and target wire form.
-#[derive(Clone, Debug, PartialEq)]
-pub struct XcPart {
-    /// Wire form on the source encoding.
-    pub src: WirePrim,
-    /// Wire form on the target encoding.
-    pub dst: WirePrim,
-    /// Number of consecutive values.
-    pub count: u64,
-}
-
-impl XcPart {
-    /// Bytes this part contributes to its block.
-    #[must_use]
-    pub fn bytes(&self) -> u64 {
-        self.count * u64::from(self.src.slot)
-    }
-}
-
-/// One step of an encoding→encoding rewrite.
-#[derive(Clone, Debug, PartialEq)]
-pub enum XcOp {
-    /// Re-encode one scalar: read in the source wire form, write in the
-    /// target wire form (reswizzling order and slot width as needed).
-    Prim {
-        /// Source wire form.
-        src: WirePrim,
-        /// Target wire form.
-        dst: WirePrim,
-    },
-    /// A fused run: `bytes` of wire data whose source and target
-    /// layouts agree byte-for-byte, moved with one bulk copy.  `parts`
-    /// records the constituent values for the verifier; `parts[0]`
-    /// carries the run's alignment requirement (later parts are
-    /// admitted only at compatible offsets).
-    BlockCopy {
-        /// Total bytes moved.
-        bytes: u64,
-        /// Constituent values, run-length encoded.
-        parts: Vec<XcPart>,
-    },
-    /// Trailing padding after a packed run: skip `src` bytes on the
-    /// source stream, write `dst` zero bytes on the target stream.
-    /// Never fused into a block copy — hostile nonzero pad bytes must
-    /// be rewritten as zeros, exactly as the naive path would.
-    Pad {
-        /// Source pad bytes to skip.
-        src: u64,
-        /// Target pad bytes to write (as zeros).
-        dst: u64,
-    },
-    /// A string: re-read the length prefix under `bound`, validate
-    /// UTF-8 and the framing convention of each side (XDR counted+pad
-    /// vs CDR counted-including-NUL), re-emit under the target framing
-    /// without owning the bytes.
-    Str {
-        /// Declared bound (elements, per the MINT array).
-        bound: Option<u64>,
-    },
-    /// A counted sequence: re-read the length prefix under `bound`,
-    /// then transcode `elem` per element.  When `bulk` is `Some(n)`,
-    /// fusion proved each element is one `n`-byte block copy and the
-    /// emitter may move `len * n` bytes at once behind the same bound
-    /// check.  `src_pad`/`dst_pad` mark XDR-style trailing padding of
-    /// packed byte elements.
-    Counted {
-        /// Declared bound (elements, per the MINT array).
-        bound: Option<u64>,
-        /// Per-element rewrite.
-        elem: Vec<XcOp>,
-        /// Fused per-element byte count, if the element collapsed.
-        bulk: Option<u64>,
-        /// Source stream pads the packed data to its pad unit.
-        src_pad: bool,
-        /// Target stream pads the packed data to its pad unit.
-        dst_pad: bool,
-    },
-    /// A fixed-length array whose element did not collapse: transcode
-    /// `elem` exactly `len` times.
-    Fixed {
-        /// Element count.
-        len: u64,
-        /// Per-element rewrite.
-        elem: Vec<XcOp>,
-    },
-    /// A discriminated union: re-encode the discriminator, then the arm
-    /// it selects.  Unlisted values without a default arm reject with
-    /// `BadDiscriminator`, as the endpoint decoder does.
-    Union {
-        /// Discriminator wire form on the source encoding.
-        src_disc: WirePrim,
-        /// Discriminator wire form on the target encoding.
-        dst_disc: WirePrim,
-        /// `(label value, arm rewrite)` per case.
-        cases: Vec<(i64, Vec<XcOp>)>,
-        /// Rewrite for unlisted discriminator values, if any.
-        default: Option<Vec<XcOp>>,
-    },
-    /// ONC-style optional data: re-encode the presence flag (valid
-    /// values 0/1, anything else rejects), then the pointee if present.
-    Opt {
-        /// Flag wire form on the source encoding.
-        src_flag: WirePrim,
-        /// Flag wire form on the target encoding.
-        dst_flag: WirePrim,
-        /// Pointee rewrite.
-        elem: Vec<XcOp>,
-    },
-    /// Call an out-of-line helper — the recursion back-edge of
-    /// self-referential presentations (linked lists).  Helper bodies
-    /// live in the plan's per-direction outline tables and are never
-    /// fused (each body re-walks one node, calling itself for the
-    /// tail).
-    Outline {
-        /// Helper key (the presentation type name).
-        key: String,
-    },
-}
-
-/// The per-operation encoding→encoding rewrite, in every direction the
-/// generated gateway needs.
-///
-/// "Forward" is source-encoding→target-encoding (`src → dst` as given
-/// to [`plan`]); "reverse" is the opposite.  A gateway bridging an ONC
-/// client to a GIOP server uses `request` (forward) on the way in and
-/// `reply` (reverse) on the way back; a gateway facing the other way
-/// uses the `_rev` pair.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TranscodePlan {
-    /// Operation metadata (shared with the endpoint stubs).
-    pub op: flick_pres::OpInfo,
-    /// Forward rewrite of the request body (fused when the plan is).
-    pub request: Vec<XcOp>,
-    /// Reverse rewrite of the reply body (fused when the plan is).
-    pub reply: Vec<XcOp>,
-    /// Unfused forward request rewrite — the
-    /// `--disable-pass=fuse-transcode` fallback, kept for the ablation
-    /// and the equivalence tests.
-    pub naive_request: Vec<XcOp>,
-    /// Unfused reverse reply rewrite.
-    pub naive_reply: Vec<XcOp>,
-    /// Reverse rewrite of the request body (for a gateway whose
-    /// clients speak the *target* encoding).
-    pub request_rev: Vec<XcOp>,
-    /// Forward rewrite of the reply body.
-    pub reply_rev: Vec<XcOp>,
-}
-
-/// Aggregate fusion statistics over the forward request/reply rewrites
-/// (feeds the compile report and the ablation table).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct XcStats {
-    /// Slot-wise scalar rewrites remaining after fusion.
-    pub prim_ops: u64,
-    /// Fused block copies.
-    pub block_copies: u64,
-    /// Total bytes moved by fused block copies.
-    pub block_copy_bytes: u64,
-    /// Counted sequences whose elements bulk-copy.
-    pub bulk_seqs: u64,
-    /// String rewrites.
-    pub strings: u64,
-    /// Out-of-line helper calls.
-    pub outlined: u64,
-}
-
-/// A full interface rewrite: one [`TranscodePlan`] per operation plus
-/// the out-of-line helper bodies for each direction.
+/// One side of an encoding pair: an encoding and the endpoint MIR
+/// lowered for it.
 #[derive(Clone, Debug)]
-pub struct TranscodePlans {
+pub struct Side {
+    /// The side's wire encoding.
+    pub enc: Encoding,
+    /// Every stub lowered for `enc`, after the layout passes.
+    pub mir: StubPlans,
+}
+
+/// One presentation lowered for both encodings of a gateway.
+///
+/// "Forward" reads `src` and writes `dst`; "reverse" the opposite.  A
+/// gateway bridging a `src` client to a `dst` server rewrites requests
+/// forward and replies in reverse; one facing the other way uses the
+/// `_rev` pair.
+#[derive(Clone, Debug)]
+pub struct TranscodePair {
     /// Scoped interface name.
     pub interface: String,
     /// Transport program identity (ONC RPC program number).
     pub program: u64,
     /// Transport version.
     pub version: u64,
-    /// Source encoding.
-    pub src: Encoding,
-    /// Target encoding.
-    pub dst: Encoding,
-    /// Whether the primary op lists were fused (`fuse-transcode` on).
+    /// The source (client-facing) side.
+    pub src: Side,
+    /// The target (server-facing) side.
+    pub dst: Side,
+    /// Whether `fuse-transcode` may fuse the primary rewrites.
     pub fused: bool,
-    /// Per-operation rewrites, in stub order.
-    pub stubs: Vec<TranscodePlan>,
-    /// Out-of-line helper bodies for the forward (src→dst) direction.
-    pub outlines_fwd: BTreeMap<String, Vec<XcOp>>,
-    /// Out-of-line helper bodies for the reverse (dst→src) direction.
-    pub outlines_rev: BTreeMap<String, Vec<XcOp>>,
-    /// Fusion statistics over the forward rewrites.
-    pub stats: XcStats,
 }
 
-/// Lowers every operation of `presc` into an encoding-pair rewrite
-/// from `src` to `dst`, fusing when `fused` is set, and verifies the
-/// result.
+/// Lowers every operation of `presc` for `src` and for `dst`.
 ///
 /// # Errors
-/// Returns a message naming the unsupported construct: typed-descriptor
-/// encodings (Mach-style framing interleaves type words with data and
-/// has no position-stable rewrite), non-atomic scalars, or a plan that
-/// fails its own verification.
+/// Returns a message naming the unsupported construct: a
+/// typed-descriptor encoding (Mach-style framing interleaves type words
+/// with data and has no position-stable rewrite), or a side the
+/// lowering, a pass, or the MIR verifier rejects.
 pub fn plan(
     presc: &PresC,
     src: &Encoding,
     dst: &Encoding,
     fused: bool,
-) -> Result<TranscodePlans, String> {
-    for enc in [src, dst] {
-        if enc.typed_descriptors {
-            return Err(format!(
-                "transcode: encoding `{}` frames items with type descriptors; \
-                 only xdr/cdr-be/cdr-le streams can be rewritten position-to-position",
-                enc.name
-            ));
-        }
-    }
-
-    let mut fwd = Lower::new(presc, src, dst);
-    let mut rev = Lower::new(presc, dst, src);
-    let mut stubs = Vec::new();
-    let mut seen = Vec::new();
-    for stub in &presc.stubs {
-        if seen.contains(&stub.op.name) {
-            continue;
-        }
-        seen.push(stub.op.name.clone());
-        stubs.push(lower_stub(stub, &mut fwd, &mut rev, fused)?);
-    }
-
-    let outlines_fwd = fwd.build_outlines()?;
-    let outlines_rev = rev.build_outlines()?;
-
-    let mut stats = XcStats::default();
-    for s in &stubs {
-        count_ops(&s.request, &mut stats);
-        count_ops(&s.reply_rev, &mut stats);
-    }
-
-    let plans = TranscodePlans {
+) -> Result<TranscodePair, String> {
+    Ok(TranscodePair {
         interface: presc.interface.clone(),
         program: presc.program,
         version: presc.version,
-        src: src.clone(),
-        dst: dst.clone(),
+        src: side(presc, src)?,
+        dst: side(presc, dst)?,
         fused,
-        stubs,
-        outlines_fwd,
-        outlines_rev,
-        stats,
-    };
-    verify(&plans)?;
-    Ok(plans)
-}
-
-fn lower_stub(
-    stub: &Stub,
-    fwd: &mut Lower<'_>,
-    rev: &mut Lower<'_>,
-    fused: bool,
-) -> Result<TranscodePlan, String> {
-    let ctx = |what: &str, e: String| format!("op `{}` {what}: {e}", stub.op.name);
-    let raw_request = fwd
-        .lower_message(&stub.request)
-        .map_err(|e| ctx("request", e))?;
-    let raw_reply_fwd = fwd
-        .lower_message(&stub.reply)
-        .map_err(|e| ctx("reply", e))?;
-    let raw_request_rev = rev
-        .lower_message(&stub.request)
-        .map_err(|e| ctx("request", e))?;
-    let raw_reply = rev
-        .lower_message(&stub.reply)
-        .map_err(|e| ctx("reply", e))?;
-
-    let maybe_fuse = |ops: &[XcOp]| {
-        if fused {
-            fuse(ops.to_vec())
-        } else {
-            ops.to_vec()
-        }
-    };
-    Ok(TranscodePlan {
-        op: stub.op.clone(),
-        request: maybe_fuse(&raw_request),
-        reply: maybe_fuse(&raw_reply),
-        naive_request: raw_request,
-        naive_reply: raw_reply,
-        request_rev: maybe_fuse(&raw_request_rev),
-        reply_rev: maybe_fuse(&raw_reply_fwd),
     })
 }
 
-// ---------------------------------------------------------------------------
-// Lowering: presentation tree → raw (unfused) op list, one direction.
-// ---------------------------------------------------------------------------
-
-struct Lower<'a> {
-    presc: &'a PresC,
-    from: &'a Encoding,
-    to: &'a Encoding,
-    /// Keys of the aggregates currently being walked (cycle guard).
-    stack: Vec<String>,
-    /// Recursive presentations demanded as out-of-line helpers.
-    demand: BTreeMap<String, PresId>,
+fn side(presc: &PresC, enc: &Encoding) -> Result<Side, String> {
+    if enc.typed_descriptors {
+        return Err(format!(
+            "transcode: encoding `{}` frames items with type descriptors; \
+             only xdr/cdr-be/cdr-le streams can be rewritten position-to-position",
+            enc.name
+        ));
+    }
+    let at = |e: String| format!("transcode ({}): {e}", enc.name);
+    let lopts = LowerOpts { param_mgmt: false };
+    let mut mir = lower_presc(presc, enc, lopts, Parallelism::Sequential).map_err(at)?;
+    let cx = PassCx { presc, enc };
+    let passes: [&dyn MirPass; 4] = [&DeadSlot, &FormChunks, &CoalesceMemcpy, &InlineMarshal];
+    for pass in passes {
+        pass.run(&mut mir, &cx).map_err(at)?;
+        verify(&mir, presc, enc)
+            .map_err(|e| at(format!("MIR verify after {}: {e}", pass.name())))?;
+    }
+    Ok(Side {
+        enc: enc.clone(),
+        mir,
+    })
 }
 
-impl<'a> Lower<'a> {
-    fn new(presc: &'a PresC, from: &'a Encoding, to: &'a Encoding) -> Self {
-        Lower {
-            presc,
-            from,
-            to,
-            stack: Vec::new(),
-            demand: BTreeMap::new(),
-        }
-    }
+/// `count` consecutive values sharing a source and a target wire form.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Run {
+    /// Wire form on the read side.
+    pub src: WirePrim,
+    /// Wire form on the write side.
+    pub dst: WirePrim,
+    /// Number of values.
+    pub count: u64,
+}
 
-    /// Lowers one message: the live slots in marshal order.  Dead slots
-    /// (`live: false`) left the wire at the endpoints via the
-    /// `dead-slot` pass, so the gateway never sees their bytes; the
-    /// transcoder assumes endpoint stubs built with the full pipeline.
-    fn lower_message(&mut self, msg: &flick_pres::MessagePres) -> Result<Vec<XcOp>, String> {
-        let mut out = Vec::new();
-        for slot in &msg.slots {
-            if !slot.live {
-                continue;
-            }
-            self.walk(slot.pres, &mut out)?;
-        }
-        Ok(out)
-    }
-
-    fn walk(&mut self, pres: PresId, out: &mut Vec<XcOp>) -> Result<(), String> {
-        let node = self.presc.pres.get(pres).clone();
-        let is_candidate = matches!(
-            node,
-            PresNode::StructMap { .. } | PresNode::UnionMap { .. } | PresNode::OptionalPtr { .. }
-        );
-        if is_candidate {
-            let key =
-                type_name_of(self.presc, pres).unwrap_or_else(|| format!("anon_{}", pres.index()));
-            if self.stack.contains(&key) {
-                self.demand.insert(key.clone(), pres);
-                out.push(XcOp::Outline { key });
-                return Ok(());
-            }
-            self.stack.push(key);
-        }
-        let r = self.walk_inner(&node, out);
-        if is_candidate {
-            self.stack.pop();
-        }
-        r
-    }
-
-    fn walk_inner(&mut self, node: &PresNode, out: &mut Vec<XcOp>) -> Result<(), String> {
-        match node {
-            PresNode::Void => {}
-            PresNode::Direct { mint, .. } => {
-                if let Some((src, dst)) = self.atom(*mint)? {
-                    out.push(XcOp::Prim { src, dst });
-                }
-            }
-            // Enums travel as a 4-byte unsigned on every encoding
-            // (mirrors the endpoint lowering in `plan.rs`).
-            PresNode::EnumMap { .. } => out.push(XcOp::Prim {
-                src: self.from.prim_for_size(4, false),
-                dst: self.to.prim_for_size(4, false),
-            }),
-            PresNode::FixedArray { elem, len, .. } => {
-                self.lower_fixed(*elem, *len, out)?;
-            }
-            PresNode::TerminatedString { mint, .. } => out.push(XcOp::Str {
-                bound: self.array_bound(*mint)?,
-            }),
-            PresNode::OptPtr { mint, elem, .. } | PresNode::CountedSeq { mint, elem, .. } => {
-                self.lower_counted(*mint, *elem, out)?;
-            }
-            PresNode::StructMap { fields, .. } => {
-                for (_, f) in fields {
-                    self.walk(*f, out)?;
-                }
-            }
-            PresNode::UnionMap {
-                discrim,
-                cases,
-                default,
-                ..
-            } => {
-                let (src_disc, dst_disc) = match self.presc.pres.get(*discrim) {
-                    PresNode::Direct { mint, .. } => match self.atom(*mint)? {
-                        Some(pair) => pair,
-                        None => return Err("transcode: void union discriminator".into()),
-                    },
-                    PresNode::EnumMap { .. } => (
-                        self.from.prim_for_size(4, false),
-                        self.to.prim_for_size(4, false),
-                    ),
-                    other => {
-                        return Err(format!(
-                            "transcode: unsupported union discriminator {other:?}"
-                        ))
-                    }
-                };
-                let mut arms = Vec::new();
-                for (v, _, c) in cases {
-                    let mut body = Vec::new();
-                    self.walk(*c, &mut body)?;
-                    arms.push((*v, body));
-                }
-                let default = match default {
-                    Some((_, d)) => {
-                        let mut body = Vec::new();
-                        self.walk(*d, &mut body)?;
-                        Some(body)
-                    }
-                    None => None,
-                };
-                out.push(XcOp::Union {
-                    src_disc,
-                    dst_disc,
-                    cases: arms,
-                    default,
-                });
-            }
-            PresNode::OptionalPtr { elem, .. } => {
-                let mut body = Vec::new();
-                self.walk(*elem, &mut body)?;
-                out.push(XcOp::Opt {
-                    src_flag: self.from.prim_for_size(1, false),
-                    dst_flag: self.to.prim_for_size(1, false),
-                    elem: body,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn lower_fixed(&mut self, elem: PresId, len: u64, out: &mut Vec<XcOp>) -> Result<(), String> {
-        if let Some((src, dst)) = self.elem_prims(elem)? {
-            out.push(XcOp::Fixed {
-                len,
-                elem: vec![XcOp::Prim { src, dst }],
-            });
-            let sp = trailing_pad(self.from, src, len);
-            let dp = trailing_pad(self.to, dst, len);
-            if sp > 0 || dp > 0 {
-                out.push(XcOp::Pad { src: sp, dst: dp });
-            }
-        } else {
-            let mut body = Vec::new();
-            self.walk(elem, &mut body)?;
-            out.push(XcOp::Fixed { len, elem: body });
-        }
-        Ok(())
-    }
-
-    fn lower_counted(
-        &mut self,
-        mint: MintId,
-        elem: PresId,
-        out: &mut Vec<XcOp>,
-    ) -> Result<(), String> {
-        let bound = self.array_bound(mint)?;
-        let (body, src_pad, dst_pad) = if let Some((src, dst)) = self.elem_prims(elem)? {
-            // Packed byte elements need trailing padding on word-unit
-            // streams; wider slots always tile the pad unit already.
-            (
-                vec![XcOp::Prim { src, dst }],
-                self.from.pad_unit.is_some() && src.slot == 1,
-                self.to.pad_unit.is_some() && dst.slot == 1,
-            )
-        } else {
-            let mut body = Vec::new();
-            self.walk(elem, &mut body)?;
-            (body, false, false)
-        };
-        out.push(XcOp::Counted {
-            bound,
-            elem: body,
-            bulk: None,
-            src_pad,
-            dst_pad,
-        });
-        Ok(())
-    }
-
-    /// Source/target wire forms of an atomic MINT node; `None` for
-    /// void (no bytes).
-    fn atom(&self, m: MintId) -> Result<Option<(WirePrim, WirePrim)>, String> {
-        match self.presc.mint.get(m) {
-            MintNode::Void => Ok(None),
-            MintNode::Integer { .. } | MintNode::Scalar(_) => Ok(Some((
-                self.from.prim(&self.presc.mint, m),
-                self.to.prim(&self.presc.mint, m),
-            ))),
-            other => Err(format!("transcode: scalar over non-atomic MINT {other:?}")),
-        }
-    }
-
-    /// Wire forms of an array element if it is a scalar presentation.
-    fn elem_prims(&self, elem: PresId) -> Result<Option<(WirePrim, WirePrim)>, String> {
-        match self.presc.pres.get(elem) {
-            PresNode::Direct { mint, .. } => match self.presc.mint.get(*mint) {
-                MintNode::Void => Ok(None),
-                MintNode::Integer { .. } | MintNode::Scalar(_) => Ok(Some((
-                    self.from.elem_prim(&self.presc.mint, *mint),
-                    self.to.elem_prim(&self.presc.mint, *mint),
-                ))),
-                other => Err(format!("transcode: array of non-atomic MINT {other:?}")),
-            },
-            PresNode::EnumMap { .. } => Ok(Some((
-                self.from.prim_for_size(4, false),
-                self.to.prim_for_size(4, false),
-            ))),
-            _ => Ok(None),
-        }
-    }
-
-    fn array_bound(&self, m: MintId) -> Result<Option<u64>, String> {
-        match self.presc.mint.get(m) {
-            MintNode::Array { len, .. } => Ok(len.max),
-            other => Err(format!(
-                "transcode: counted data over non-array MINT {other:?}"
-            )),
-        }
-    }
-
-    /// Resolves every demanded out-of-line helper to its body,
-    /// discovering transitively demanded helpers as it goes.  Bodies
-    /// are lowered raw (never fused): they are shared between the
-    /// fused and naive emission paths, and recursion dominates their
-    /// cost anyway.
-    fn build_outlines(&mut self) -> Result<BTreeMap<String, Vec<XcOp>>, String> {
-        let mut done: BTreeMap<String, Vec<XcOp>> = BTreeMap::new();
-        loop {
-            let next = self
-                .demand
-                .iter()
-                .find(|(k, _)| !done.contains_key(*k))
-                .map(|(k, p)| (k.clone(), *p));
-            let Some((key, pres)) = next else {
-                return Ok(done);
-            };
-            self.stack.clear();
-            let mut body = Vec::new();
-            self.walk(pres, &mut body)?;
-            done.insert(key, body);
-        }
+impl Run {
+    /// Source bytes the run occupies.
+    #[must_use]
+    pub fn bytes(&self) -> u64 {
+        self.count * u64::from(self.src.slot)
     }
 }
 
-/// Trailing padding after a fixed packed run (mirrors the layout
-/// cursor: runs that tile — `slot == size` — pad the stream to the
-/// encoding's pad unit; widened elements are already word-multiples).
-fn trailing_pad(enc: &Encoding, p: WirePrim, len: u64) -> u64 {
-    if p.slot != p.size {
-        return 0;
-    }
-    match enc.pad_unit {
-        Some(u) => {
-            let data = len * u64::from(p.slot);
-            let u = u64::from(u);
-            (u - data % u) % u
-        }
-        None => 0,
-    }
+/// One step of a packed-region rewrite.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Step {
+    /// Read and re-write the run value by value.
+    Each(Run),
+    /// `fuse-transcode`: move the runs as one block copy.
+    Copy(Vec<Run>),
+    /// Skip `src` pad bytes on the read side; write `dst` zero bytes.
+    Pad {
+        /// Source pad bytes.
+        src: u64,
+        /// Target pad bytes.
+        dst: u64,
+    },
 }
 
-// ---------------------------------------------------------------------------
-// Fusion: the transcode analogue of coalesce-memcpy.
-// ---------------------------------------------------------------------------
-
-/// True when a scalar's two wire forms agree byte-for-byte, making a
-/// raw copy equivalent to decode-then-re-encode even on hostile input.
+/// True when a value's two wire forms agree byte for byte, so a raw
+/// copy equals decode-then-re-encode even on hostile input.
 #[must_use]
 pub fn copyable(src: &WirePrim, dst: &WirePrim) -> bool {
-    if src.size != dst.size || src.slot != src.size || dst.slot != dst.size {
-        return false;
-    }
-    if src.float || dst.float {
-        return false;
-    }
-    src.size == 1 || src.order == dst.order
+    src.size == dst.size
+        && src.slot == src.size
+        && dst.slot == dst.size
+        && !src.float
+        && !dst.float
+        && (src.size == 1 || src.order == dst.order)
 }
 
-/// Fuses a raw op list: collapses adjacent copyable prims into block
-/// copies, hoists fixed arrays of collapsed elements, and marks
-/// counted sequences whose element tiles both streams for bulk copy.
-#[must_use]
-pub fn fuse(ops: Vec<XcOp>) -> Vec<XcOp> {
-    let mut out: Vec<XcOp> = Vec::new();
-    for op in ops {
-        match fuse_children(op) {
-            XcOp::Prim { src, dst } if copyable(&src, &dst) => {
-                append_copy(&mut out, XcPart { src, dst, count: 1 });
-            }
-            XcOp::BlockCopy { parts, .. } => {
-                for p in parts {
-                    append_copy(&mut out, p);
+fn same_value(r: &Run) -> Result<(), String> {
+    let (s, d) = (r.src, r.dst);
+    if s.size == d.size && s.signed == d.signed && s.float == d.float {
+        Ok(())
+    } else {
+        Err(format!("pair disagrees on a value: {s:?} vs {d:?}"))
+    }
+}
+
+/// A packed item as `(offset, form, count, trailing pad)`.
+fn segments(p: &Packed) -> Vec<(u64, WirePrim, u64, u64)> {
+    p.items
+        .iter()
+        .map(|item| match *item {
+            PackedItem::Prim { offset, prim, .. } => (offset, prim, 1, 0),
+            PackedItem::PrimRun {
+                offset,
+                prim,
+                count,
+                pad,
+                ..
+            } => (offset, prim, count, pad),
+        })
+        .collect()
+}
+
+/// Pairs the values of two packings of one region in order.  With
+/// `fuse`, copyable values at contiguous offsets on both sides join one
+/// block; everything else crosses value by value, and each side's
+/// trailing run padding becomes a [`Step::Pad`].
+///
+/// # Errors
+/// The two packings disagree on the values they hold.
+pub fn packed_steps(src: &Packed, dst: &Packed, fuse: bool) -> Result<Vec<Step>, String> {
+    let (ss, ds) = (segments(src), segments(dst));
+    let (mut si, mut di, mut s_done, mut d_done) = (0, 0, 0, 0);
+    let mut steps: Vec<Step> = Vec::new();
+    // Offsets just past the open block on each side.
+    let mut block_end = None;
+    while si < ss.len() && di < ds.len() {
+        let (s_off, s_prim, s_count, s_pad) = ss[si];
+        let (d_off, d_prim, d_count, d_pad) = ds[di];
+        let run = Run {
+            src: s_prim,
+            dst: d_prim,
+            count: (s_count - s_done).min(d_count - d_done),
+        };
+        same_value(&run)?;
+        let at = (
+            s_off + s_done * u64::from(s_prim.slot),
+            d_off + d_done * u64::from(d_prim.slot),
+        );
+        if fuse && copyable(&run.src, &run.dst) {
+            match steps.last_mut() {
+                Some(Step::Copy(runs))
+                    if block_end == Some(at)
+                        && run.src.align <= runs[0].src.align
+                        && run.dst.align <= runs[0].dst.align =>
+                {
+                    runs.push(run);
                 }
+                _ => steps.push(Step::Copy(vec![run])),
             }
-            other => out.push(other),
+            block_end = Some((at.0 + run.bytes(), at.1 + run.bytes()));
+        } else {
+            match steps.last_mut() {
+                Some(Step::Each(r)) if (r.src, r.dst) == (run.src, run.dst) => r.count += run.count,
+                _ => steps.push(Step::Each(run)),
+            }
+        }
+        s_done += run.count;
+        d_done += run.count;
+        let mut pad = (0, 0);
+        if s_done == s_count {
+            (si, s_done, pad.0) = (si + 1, 0, s_pad);
+        }
+        if d_done == d_count {
+            (di, d_done, pad.1) = (di + 1, 0, d_pad);
+        }
+        if pad != (0, 0) {
+            steps.push(Step::Pad {
+                src: pad.0,
+                dst: pad.1,
+            });
         }
     }
-    out
+    if si < ss.len() || di < ds.len() {
+        return Err("pair disagrees on the number of values in a packed region".into());
+    }
+    Ok(steps)
 }
 
-/// Fuses inside an op's children and applies the per-op rewrites
-/// (fixed-array hoist, counted bulk marking).
-fn fuse_children(op: XcOp) -> XcOp {
-    match op {
-        XcOp::Fixed { len, elem } => {
-            let elem = fuse(elem);
-            if len > 0 {
-                if let [XcOp::BlockCopy { bytes, parts }] = elem.as_slice() {
-                    if tiles(*bytes, parts) && (parts.len() == 1 || len * parts.len() as u64 <= 256)
-                    {
-                        return scale_block(len, *bytes, parts);
+/// The pair-agreement check: every block copies only runs whose two
+/// layouts agree byte for byte, and never across an alignment gap (its
+/// head carries the block's alignment; every later run must sit at an
+/// offset the head's alignment already guarantees).  Unfused rewrites
+/// hold no blocks at all.
+///
+/// # Errors
+/// Names the violated obligation.
+pub fn check_steps(steps: &[Step], fused: bool) -> Result<(), String> {
+    for step in steps {
+        match step {
+            Step::Each(run) => same_value(run)?,
+            Step::Pad { .. } => {}
+            Step::Copy(runs) => {
+                if !fused {
+                    return Err("block copy in an unfused rewrite".into());
+                }
+                let head = runs.first().ok_or("empty block copy")?;
+                let mut off = 0;
+                for run in runs {
+                    same_value(run)?;
+                    if !copyable(&run.src, &run.dst) {
+                        return Err(format!(
+                            "block copies a widened, float, or byte-swapped run: {run:?}"
+                        ));
                     }
+                    if run.src.align > head.src.align
+                        || run.dst.align > head.dst.align
+                        || off % u64::from(run.src.align.max(1)) != 0
+                        || off % u64::from(run.dst.align.max(1)) != 0
+                    {
+                        return Err(format!("block would copy alignment padding before {run:?}"));
+                    }
+                    off += run.bytes();
                 }
             }
-            XcOp::Fixed { len, elem }
         }
-        XcOp::Counted {
-            bound,
-            elem,
-            src_pad,
-            dst_pad,
-            ..
-        } => {
-            let elem = fuse(elem);
-            let bulk = match elem.as_slice() {
-                [XcOp::BlockCopy { bytes, parts }] if tiles(*bytes, parts) => Some(*bytes),
-                _ => None,
-            };
-            XcOp::Counted {
-                bound,
-                elem,
-                bulk,
-                src_pad,
-                dst_pad,
-            }
+    }
+    Ok(())
+}
+
+/// How one side of an array pair moves its elements.
+#[derive(Clone, Copy, Debug)]
+pub enum Elems<'a> {
+    /// A `MemcpyArray`: contiguous scalars, aligned once before the
+    /// data and padded once after it.
+    Run {
+        /// Element wire form.
+        prim: WirePrim,
+        /// Trailing padding unit, if the encoding pads.
+        pad_unit: Option<u8>,
+    },
+    /// A `CountedArray` or `FixedArray`: one plan per element.
+    Each(&'a PlanNode),
+}
+
+impl Elems<'_> {
+    /// The element's wire form, if it is a scalar.
+    #[must_use]
+    pub fn scalar(&self) -> Option<WirePrim> {
+        match self {
+            Elems::Run { prim, .. }
+            | Elems::Each(PlanNode::Prim { prim, .. } | PlanNode::Enum { prim }) => Some(*prim),
+            Elems::Each(_) => None,
         }
-        XcOp::Union {
-            src_disc,
-            dst_disc,
-            cases,
-            default,
-        } => XcOp::Union {
-            src_disc,
-            dst_disc,
-            cases: cases.into_iter().map(|(v, b)| (v, fuse(b))).collect(),
-            default: default.map(fuse),
-        },
-        XcOp::Opt {
-            src_flag,
-            dst_flag,
-            elem,
-        } => XcOp::Opt {
-            src_flag,
-            dst_flag,
-            elem: fuse(elem),
-        },
-        other => other,
     }
 }
 
-/// True when repeating a `bytes`-wide block keeps every part aligned —
-/// the hoist/bulk admission rule.
-fn tiles(bytes: u64, parts: &[XcPart]) -> bool {
-    parts.iter().all(|p| {
-        bytes.is_multiple_of(u64::from(p.src.align.max(1)))
-            && bytes.is_multiple_of(u64::from(p.dst.align.max(1)))
+/// One side of an array pair.
+#[derive(Clone, Copy, Debug)]
+pub struct Array<'a> {
+    /// Static element count; `None` when a count prefix travels.
+    pub fixed_len: Option<u64>,
+    /// Declared bound of a counted array.
+    pub bound: Option<u64>,
+    /// The element discipline.
+    pub elems: Elems<'a>,
+}
+
+/// The array view of `node`, if it is one.
+#[must_use]
+pub fn array_of(node: &PlanNode) -> Option<Array<'_>> {
+    Some(match node {
+        PlanNode::MemcpyArray {
+            prim,
+            fixed_len,
+            bound,
+            pad_unit,
+            ..
+        } => Array {
+            fixed_len: *fixed_len,
+            bound: *bound,
+            elems: Elems::Run {
+                prim: *prim,
+                pad_unit: *pad_unit,
+            },
+        },
+        PlanNode::CountedArray { bound, elem, .. } => Array {
+            fixed_len: None,
+            bound: *bound,
+            elems: Elems::Each(elem),
+        },
+        PlanNode::FixedArray { len, elem, .. } => Array {
+            fixed_len: Some(*len),
+            bound: None,
+            elems: Elems::Each(elem),
+        },
+        _ => return None,
     })
 }
 
-/// A fixed array of one collapsed `bytes`-wide block, hoisted to a
-/// single `len * bytes` block.
-fn scale_block(len: u64, bytes: u64, parts: &[XcPart]) -> XcOp {
-    let scaled = if parts.len() == 1 {
-        let mut p = parts[0].clone();
-        p.count *= len;
-        vec![p]
-    } else {
-        let mut v = Vec::with_capacity(parts.len() * usize::try_from(len).unwrap_or(usize::MAX));
-        for _ in 0..len {
-            v.extend(parts.iter().cloned());
-        }
-        v
-    };
-    XcOp::BlockCopy {
-        bytes: len * bytes,
-        parts: scaled,
-    }
+/// A fused array: every element is one `bytes`-wide block on both
+/// sides and consecutive elements tile, so `len * bytes` cross at once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Bulk {
+    /// Bytes per element.
+    pub bytes: u64,
+    /// Alignment each element needs on the read side.
+    pub src_align: u8,
+    /// Alignment each element needs on the write side.
+    pub dst_align: u8,
 }
 
-/// Appends one copyable run to the op list, extending the trailing
-/// block copy when the run is admissible at the block's current
-/// offset: its alignment must not exceed the block head's (the head
-/// carries the runtime alignment), and the offset must satisfy it on
-/// both streams.
-fn append_copy(out: &mut Vec<XcOp>, part: XcPart) {
-    if let Some(XcOp::BlockCopy { bytes, parts }) = out.last_mut() {
-        let head = &parts[0];
-        let sa = u64::from(part.src.align.max(1));
-        let da = u64::from(part.dst.align.max(1));
-        if part.src.align <= head.src.align
-            && part.dst.align <= head.dst.align
-            && *bytes % sa == 0
-            && *bytes % da == 0
-        {
-            let add = part.bytes();
-            if let Some(last) = parts.last_mut() {
-                if last.src == part.src && last.dst == part.dst {
-                    last.count += part.count;
-                    *bytes += add;
-                    return;
-                }
-            }
-            parts.push(part);
-            *bytes += add;
-            return;
-        }
-    }
-    let bytes = part.bytes();
-    out.push(XcOp::BlockCopy {
-        bytes,
-        parts: vec![part],
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Verification: every fusion obligation re-derived from scratch.
-// ---------------------------------------------------------------------------
-
-/// Checks a lowered transcode plan.
-///
-/// Obligations: fused ops (`BlockCopy`, counted `bulk`) appear only in
-/// primary lists of a fused plan, never in the naive twins or outline
-/// bodies; every block copy's parts are [`copyable`] and admissible at
-/// their offsets, and its byte count is their sum; a bulk-marked
-/// sequence's element is exactly one tiling block; every prim pair
-/// agrees on size/signedness/floatness; union labels are unique; every
-/// outline key resolves in its direction's helper table.
+/// The `fuse-transcode` decision for an array pair: scalar elements
+/// whose forms are [`copyable`], or packed elements whose steps are
+/// one tiling block.
 ///
 /// # Errors
-/// Returns a message naming the op and the violated obligation.
-pub fn verify(plans: &TranscodePlans) -> Result<(), String> {
-    for stub in &plans.stubs {
-        let op = &stub.op.name;
-        let fused = plans.fused;
-        check_ops(&stub.request, fused, &plans.outlines_fwd)
-            .map_err(|e| format!("op `{op}` request: {e}"))?;
-        check_ops(&stub.reply, fused, &plans.outlines_rev)
-            .map_err(|e| format!("op `{op}` reply: {e}"))?;
-        check_ops(&stub.naive_request, false, &plans.outlines_fwd)
-            .map_err(|e| format!("op `{op}` naive request: {e}"))?;
-        check_ops(&stub.naive_reply, false, &plans.outlines_rev)
-            .map_err(|e| format!("op `{op}` naive reply: {e}"))?;
-        check_ops(&stub.request_rev, fused, &plans.outlines_rev)
-            .map_err(|e| format!("op `{op}` reverse request: {e}"))?;
-        check_ops(&stub.reply_rev, fused, &plans.outlines_fwd)
-            .map_err(|e| format!("op `{op}` reverse reply: {e}"))?;
-    }
-    for (key, body) in &plans.outlines_fwd {
-        check_ops(body, false, &plans.outlines_fwd)
-            .map_err(|e| format!("forward outline `{key}`: {e}"))?;
-    }
-    for (key, body) in &plans.outlines_rev {
-        check_ops(body, false, &plans.outlines_rev)
-            .map_err(|e| format!("reverse outline `{key}`: {e}"))?;
-    }
-    Ok(())
-}
-
-fn check_ops(
-    ops: &[XcOp],
-    fused_allowed: bool,
-    outlines: &BTreeMap<String, Vec<XcOp>>,
-) -> Result<(), String> {
-    for op in ops {
-        match op {
-            XcOp::Prim { src, dst } => {
-                if src.size != dst.size || src.signed != dst.signed || src.float != dst.float {
-                    return Err(format!(
-                        "prim pair disagrees on value shape: {src:?} vs {dst:?}"
-                    ));
-                }
-            }
-            XcOp::BlockCopy { bytes, parts } => {
-                if !fused_allowed {
-                    return Err("block copy in an unfused op list".into());
-                }
-                check_block(*bytes, parts)?;
-            }
-            XcOp::Pad { .. } | XcOp::Str { .. } => {}
-            XcOp::Counted { elem, bulk, .. } => {
-                if let Some(b) = bulk {
-                    if !fused_allowed {
-                        return Err("bulk-marked sequence in an unfused op list".into());
-                    }
-                    match elem.as_slice() {
-                        [XcOp::BlockCopy { bytes, parts }] if bytes == b && tiles(*b, parts) => {}
-                        other => {
-                            return Err(format!(
-                                "bulk mark {b} not backed by one tiling block: {other:?}"
-                            ))
-                        }
-                    }
-                }
-                check_ops(elem, fused_allowed, outlines)?;
-            }
-            XcOp::Fixed { elem, .. } => check_ops(elem, fused_allowed, outlines)?,
-            XcOp::Union { cases, default, .. } => {
-                let mut labels: Vec<i64> = cases.iter().map(|(v, _)| *v).collect();
-                labels.sort_unstable();
-                labels.dedup();
-                if labels.len() != cases.len() {
-                    return Err("duplicate union labels".into());
-                }
-                for (_, b) in cases {
-                    check_ops(b, fused_allowed, outlines)?;
-                }
-                if let Some(d) = default {
-                    check_ops(d, fused_allowed, outlines)?;
-                }
-            }
-            XcOp::Opt {
-                src_flag,
-                dst_flag,
-                elem,
-            } => {
-                if src_flag.size != 1 || dst_flag.size != 1 {
-                    return Err("optional flag must be a 1-byte value".into());
-                }
-                check_ops(elem, fused_allowed, outlines)?;
-            }
-            XcOp::Outline { key } => {
-                if !outlines.contains_key(key) {
-                    return Err(format!("outline `{key}` has no helper body"));
-                }
-            }
+/// The element packings disagree, or the pair check fails.
+pub fn bulk(src: &Elems, dst: &Elems) -> Result<Option<Bulk>, String> {
+    if let (Some(s), Some(d)) = (src.scalar(), dst.scalar()) {
+        let run = Run {
+            src: s,
+            dst: d,
+            count: 1,
+        };
+        if !copyable(&s, &d) {
+            return Ok(None);
         }
+        check_steps(&[Step::Copy(vec![run])], true)?;
+        return Ok(Some(Bulk {
+            bytes: u64::from(s.size),
+            src_align: s.align,
+            dst_align: d.align,
+        }));
     }
-    Ok(())
-}
-
-fn check_block(bytes: u64, parts: &[XcPart]) -> Result<(), String> {
-    let Some(head) = parts.first() else {
-        return Err("empty block copy".into());
+    let (
+        Elems::Each(PlanNode::Packed { layout: s, .. }),
+        Elems::Each(PlanNode::Packed { layout: d, .. }),
+    ) = (src, dst)
+    else {
+        return Ok(None);
     };
-    let mut off = 0u64;
-    for p in parts {
-        if !copyable(&p.src, &p.dst) {
-            return Err(format!("non-copyable part in block: {p:?}"));
-        }
-        if p.src.align > head.src.align || p.dst.align > head.dst.align {
-            return Err("block part over-aligned relative to block head".into());
-        }
-        if !off.is_multiple_of(u64::from(p.src.align.max(1)))
-            || !off.is_multiple_of(u64::from(p.dst.align.max(1)))
+    let steps = packed_steps(s, d, true)?;
+    check_steps(&steps, true)?;
+    let (sa, da) = (s.align.clamp(1, 8), d.align.clamp(1, 8));
+    Ok(match steps.as_slice() {
+        [Step::Copy(runs)]
+            if runs.iter().map(Run::bytes).sum::<u64>() == s.size
+                && s.size == d.size
+                && s.size % sa == 0
+                && d.size % da == 0 =>
         {
-            return Err(format!("block part misaligned at offset {off}"));
+            Some(Bulk {
+                bytes: s.size,
+                src_align: sa as u8,
+                dst_align: da as u8,
+            })
         }
-        off += p.bytes();
-    }
-    if off != bytes {
-        return Err(format!("block byte count {bytes} != part sum {off}"));
-    }
-    Ok(())
-}
-
-fn count_ops(ops: &[XcOp], s: &mut XcStats) {
-    for op in ops {
-        match op {
-            XcOp::Prim { .. } => s.prim_ops += 1,
-            XcOp::BlockCopy { bytes, .. } => {
-                s.block_copies += 1;
-                s.block_copy_bytes += bytes;
-            }
-            XcOp::Pad { .. } => {}
-            XcOp::Str { .. } => s.strings += 1,
-            XcOp::Counted { elem, bulk, .. } => {
-                if bulk.is_some() {
-                    s.bulk_seqs += 1;
-                }
-                count_ops(elem, s);
-            }
-            XcOp::Fixed { elem, .. } => count_ops(elem, s),
-            XcOp::Union { cases, default, .. } => {
-                for (_, b) in cases {
-                    count_ops(b, s);
-                }
-                if let Some(d) = default {
-                    count_ops(d, s);
-                }
-            }
-            XcOp::Opt { elem, .. } => count_ops(elem, s),
-            XcOp::Outline { .. } => s.outlined += 1,
-        }
-    }
+        _ => None,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flick_cast::{CFunction, CType, CUnit};
-    use flick_mint::MintGraph;
-    use flick_pres::{MessagePres, OpInfo, ParamBinding, PresNode, PresTree, Side, StubKind};
+    use crate::encoding::Order;
+    use flick_idl::diag::Diagnostics;
 
-    fn live(name: &str, pres: PresId) -> ParamBinding {
-        ParamBinding {
-            c_name: name.into(),
-            pres,
-            by_ref: false,
-            live: true,
+    fn presc(idl: &str) -> PresC {
+        let aoi = flick_frontend_corba::parse_str("t.idl", idl);
+        let mut d = Diagnostics::new();
+        flick_presgen::corba_c(&aoi, "T", flick_pres::Side::Server, &mut d).expect("presentation")
+    }
+
+    /// The first request slot of the first operation, on each side.
+    fn slot0(pair: &TranscodePair) -> (&PlanNode, &PlanNode) {
+        (
+            &pair.src.mir.stubs[0].request.slots[0].node,
+            &pair.dst.mir.stubs[0].request.slots[0].node,
+        )
+    }
+
+    fn packed(node: &PlanNode) -> &Packed {
+        match node {
+            PlanNode::Packed { layout, .. } => layout,
+            other => panic!("expected a packed chunk, got {other:?}"),
         }
     }
 
-    fn presc_with(
-        build: impl FnOnce(&mut MintGraph, &mut PresTree) -> (Vec<ParamBinding>, Vec<ParamBinding>),
-    ) -> PresC {
-        let mut mint = MintGraph::new();
-        let mut pres = PresTree::new();
-        let (req, rep) = build(&mut mint, &mut pres);
-        let void = mint.void();
-        PresC {
-            side: Side::Server,
-            interface: "T".into(),
-            program: 0x2000_0001,
-            version: 1,
-            mint,
-            pres,
-            cast: CUnit::default(),
-            stubs: vec![Stub {
-                name: "t_op".into(),
-                kind: StubKind::ServerWork,
-                decl: CFunction {
-                    name: "t_op".into(),
-                    ret: CType::Void,
-                    params: vec![],
-                    body: None,
-                },
-                request: MessagePres {
-                    mint: void,
-                    slots: req,
-                },
-                reply: MessagePres {
-                    mint: void,
-                    slots: rep,
-                },
-                op: OpInfo {
-                    name: "t_op".into(),
-                    request_code: 1,
-                    wire_name: "t_op".into(),
-                    oneway: false,
-                },
-            }],
-            style: "test".into(),
-        }
+    fn steps_of(idl: &str, src: &Encoding, dst: &Encoding, fuse: bool) -> Vec<Step> {
+        let pair = plan(&presc(idl), src, dst, true).expect("plans");
+        let (s, d) = slot0(&pair);
+        let steps = packed_steps(packed(s), packed(d), fuse).expect("pairs");
+        check_steps(&steps, fuse).expect("passes the pair check");
+        steps
     }
 
-    /// The paper's 136-byte dirent shape: struct { i32 fields[30];
-    /// char tag[16] }.
-    fn stat_presc() -> PresC {
-        presc_with(|mint, pres| {
-            let i32m = mint.i32();
-            let c8 = mint.char8();
-            let fields_m = mint.array_fixed(i32m, 30);
-            let tag_m = mint.array_fixed(c8, 16);
-            let st_m = mint.structure(vec![("fields".into(), fields_m), ("tag".into(), tag_m)]);
-            let fe = pres.add(PresNode::Direct {
-                mint: i32m,
-                ctype: CType::Int,
-            });
-            let te = pres.add(PresNode::Direct {
-                mint: c8,
-                ctype: CType::Char,
-            });
-            let fa = pres.add(PresNode::FixedArray {
-                mint: fields_m,
-                elem: fe,
-                len: 30,
-                ctype: CType::named("fields_t"),
-            });
-            let ta = pres.add(PresNode::FixedArray {
-                mint: tag_m,
-                elem: te,
-                len: 16,
-                ctype: CType::named("tag_t"),
-            });
-            let st = pres.add(PresNode::StructMap {
-                mint: st_m,
-                ctype: CType::named("stat_t"),
-                fields: vec![("fields".into(), fa), ("tag".into(), ta)],
-            });
-            (vec![live("s", st)], vec![])
-        })
-    }
+    /// The paper's 136-byte stat: 30 longs and a 16-byte tag.
+    const STAT: &str =
+        "struct Stat { long fields[30]; char tag[16]; }; interface T { void put(in Stat s); };";
 
-    fn has_block(ops: &[XcOp]) -> bool {
-        ops.iter().any(|op| match op {
-            XcOp::BlockCopy { .. } => true,
-            XcOp::Counted { elem, bulk, .. } => bulk.is_some() || has_block(elem),
-            XcOp::Fixed { elem, .. } | XcOp::Opt { elem, .. } => has_block(elem),
-            XcOp::Union { cases, default, .. } => {
-                cases.iter().any(|(_, b)| has_block(b))
-                    || default.as_ref().is_some_and(|d| has_block(d))
-            }
-            _ => false,
-        })
+    fn run(steps: &[Step]) -> Vec<(u64, u8, bool)> {
+        steps
+            .iter()
+            .flat_map(|s| match s {
+                Step::Each(r) => vec![(r.count, r.src.size, false)],
+                Step::Copy(runs) => runs.iter().map(|r| (r.count, r.src.size, true)).collect(),
+                Step::Pad { .. } => vec![],
+            })
+            .collect()
     }
 
     #[test]
     fn matching_orders_collapse_stat_to_one_block() {
-        // XDR and big-endian CDR lay the 136-byte stat out identically:
-        // the whole struct fuses to a single block copy.
-        let p = stat_presc();
-        let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_be(), true).unwrap();
-        let req = &plans.stubs[0].request;
-        match req.as_slice() {
-            [XcOp::BlockCopy { bytes: 136, parts }] => {
-                assert_eq!(parts.len(), 2, "i32 run + byte run: {parts:?}");
-                assert_eq!((parts[0].count, parts[0].src.size), (30, 4));
-                assert_eq!((parts[1].count, parts[1].src.size), (16, 1));
-            }
-            other => panic!("expected one 136-byte block, got {other:?}"),
-        }
-        assert_eq!(plans.stats.block_copies, 1);
-        assert_eq!(plans.stats.block_copy_bytes, 136);
+        // XDR and big-endian CDR lay the stat out identically: the
+        // whole chunk crosses as one 136-byte block.
+        let steps = steps_of(STAT, &Encoding::xdr(), &Encoding::cdr_be(), true);
+        let [Step::Copy(runs)] = steps.as_slice() else {
+            panic!("expected one block, got {steps:?}");
+        };
+        assert_eq!(runs.iter().map(Run::bytes).sum::<u64>(), 136);
+        assert_eq!(run(&steps), [(30, 4, true), (16, 1, true)]);
     }
 
     #[test]
-    fn order_mismatch_keeps_scalars_slotwise_but_fuses_bytes() {
-        // XDR (BE) → CDR-LE: the 30 i32s must reswizzle one by one,
-        // but the 16 tag bytes still block-copy.
-        let p = stat_presc();
-        let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_le(), true).unwrap();
-        let req = &plans.stubs[0].request;
-        assert_eq!(req.len(), 2, "{req:?}");
-        assert!(
-            matches!(&req[0], XcOp::Fixed { len: 30, elem } if matches!(elem.as_slice(), [XcOp::Prim { .. }])),
-            "i32 run stays slot-wise: {:?}",
-            req[0]
-        );
-        assert!(
-            matches!(&req[1], XcOp::BlockCopy { bytes: 16, .. }),
-            "byte run still fuses: {:?}",
-            req[1]
-        );
-    }
-
-    fn rects_presc() -> PresC {
-        presc_with(|mint, pres| {
-            let i32m = mint.i32();
-            let rect_m = mint.structure(vec![
-                ("x".into(), i32m),
-                ("y".into(), i32m),
-                ("w".into(), i32m),
-                ("h".into(), i32m),
-            ]);
-            let seq_m = mint.array_variable(rect_m, Some(1024));
-            let fe = pres.add(PresNode::Direct {
-                mint: i32m,
-                ctype: CType::Int,
-            });
-            let rect = pres.add(PresNode::StructMap {
-                mint: rect_m,
-                ctype: CType::named("rect_t"),
-                fields: vec![
-                    ("x".into(), fe),
-                    ("y".into(), fe),
-                    ("w".into(), fe),
-                    ("h".into(), fe),
-                ],
-            });
-            let seq = pres.add(PresNode::CountedSeq {
-                mint: seq_m,
-                elem: rect,
-                ctype: CType::named("rect_seq"),
-                length_field: "_length".into(),
-                maximum_field: "_maximum".into(),
-                buffer_field: "_buffer".into(),
-                alloc: flick_pres::AllocSem::heap_only(),
-            });
-            (vec![live("rs", seq)], vec![])
-        })
+    fn order_mismatch_keeps_scalars_value_wise_but_fuses_bytes() {
+        // XDR (BE) → CDR-LE: the longs reswizzle one by one, the tag
+        // bytes still block-copy.
+        let steps = steps_of(STAT, &Encoding::xdr(), &Encoding::cdr_le(), true);
+        assert_eq!(run(&steps), [(30, 4, false), (16, 1, true)], "{steps:?}");
     }
 
     #[test]
     fn counted_structs_bulk_copy_when_layouts_agree() {
-        let p = rects_presc();
-        let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_be(), true).unwrap();
-        match plans.stubs[0].request.as_slice() {
-            [XcOp::Counted {
-                bound: Some(1024),
-                bulk: Some(16),
-                ..
-            }] => {}
-            other => panic!("expected bulk-16 sequence, got {other:?}"),
-        }
-        assert_eq!(plans.stats.bulk_seqs, 1);
-
-        // Reswizzling orders: the bound survives but nothing fuses.
-        let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_le(), true).unwrap();
-        match plans.stubs[0].request.as_slice() {
-            [XcOp::Counted { bulk: None, .. }] => {}
-            other => panic!("expected unfused sequence, got {other:?}"),
-        }
+        let idl = "struct Rect { long x; long y; long w; long h; };
+                   typedef sequence<Rect, 1024> Rects;
+                   interface T { void put(in Rects rs); };";
+        let bulk_of = |dst: Encoding| {
+            let pair = plan(&presc(idl), &Encoding::xdr(), &dst, true).unwrap();
+            let (s, d) = slot0(&pair);
+            let (a, b) = (array_of(s).unwrap(), array_of(d).unwrap());
+            assert_eq!((a.bound, b.bound), (Some(1024), Some(1024)));
+            bulk(&a.elems, &b.elems).unwrap()
+        };
+        assert_eq!(
+            bulk_of(Encoding::cdr_be()),
+            Some(Bulk {
+                bytes: 16,
+                src_align: 4,
+                dst_align: 4
+            })
+        );
+        // Reswizzling orders: nothing fuses.
+        assert_eq!(bulk_of(Encoding::cdr_le()), None);
     }
 
     #[test]
     fn naive_twins_never_fuse() {
-        let p = stat_presc();
-        let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_be(), true).unwrap();
-        let s = &plans.stubs[0];
-        assert!(!has_block(&s.naive_request));
-        assert!(!has_block(&s.naive_reply));
-        assert!(has_block(&s.request));
-
-        // With the pass disabled the primary lists match the twins.
-        let off = plan(&p, &Encoding::xdr(), &Encoding::cdr_be(), false).unwrap();
-        assert_eq!(off.stubs[0].request, off.stubs[0].naive_request);
-        assert!(!off.fused);
+        let steps = steps_of(STAT, &Encoding::xdr(), &Encoding::cdr_be(), false);
+        assert!(
+            steps.iter().all(|s| !matches!(s, Step::Copy(_))),
+            "{steps:?}"
+        );
+        let fused = steps_of(STAT, &Encoding::xdr(), &Encoding::cdr_be(), true);
+        assert!(check_steps(&fused, false).unwrap_err().contains("unfused"));
     }
 
     #[test]
     fn widened_and_float_slots_refuse_to_fuse() {
-        let p = presc_with(|mint, pres| {
-            let i16m = mint.i16();
-            let f32m = mint.f32();
-            let u32m = mint.u32();
-            let a = pres.add(PresNode::Direct {
-                mint: u32m,
-                ctype: CType::UInt,
-            });
-            let b = pres.add(PresNode::Direct {
-                mint: i16m,
-                ctype: CType::Short,
-            });
-            let c = pres.add(PresNode::Direct {
-                mint: f32m,
-                ctype: CType::Float,
-            });
-            (vec![live("a", a), live("b", b), live("c", c)], vec![])
-        });
-        let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_be(), true).unwrap();
-        let req = &plans.stubs[0].request;
-        // u32 fuses alone; the widened i16 (4-byte XDR slot vs 2-byte
-        // CDR slot) and the float both stay slot-wise.
-        assert_eq!(req.len(), 3, "{req:?}");
-        assert!(matches!(&req[0], XcOp::BlockCopy { bytes: 4, .. }));
-        assert!(matches!(&req[1], XcOp::Prim { src, .. } if src.slot == 4 && src.size == 2));
-        assert!(matches!(&req[2], XcOp::Prim { src, .. } if src.float));
+        let idl = "struct W { unsigned long a; short b; float c; };
+                   interface T { void put(in W w); };";
+        let steps = steps_of(idl, &Encoding::xdr(), &Encoding::cdr_be(), true);
+        // The u32 fuses alone; the widened short (4-byte XDR slot, 2-byte
+        // CDR slot) and the float stay value-wise.
+        match steps.as_slice() {
+            [Step::Copy(a), Step::Each(b), Step::Each(c)] => {
+                assert_eq!(a.len(), 1);
+                assert_eq!((b.src.slot, b.src.size, b.dst.slot), (4, 2, 2));
+                assert!(c.src.float && c.dst.float);
+            }
+            other => panic!("unexpected steps {other:?}"),
+        }
     }
 
     #[test]
     fn byte_runs_pad_and_pads_never_fuse() {
-        // char[6]: XDR pads to 8, CDR doesn't — the pad op must stay
-        // outside the block copy so hostile pad bytes re-zero.
-        let p = presc_with(|mint, pres| {
-            let c8 = mint.char8();
-            let am = mint.array_fixed(c8, 6);
-            let e = pres.add(PresNode::Direct {
-                mint: c8,
-                ctype: CType::Char,
-            });
-            let a = pres.add(PresNode::FixedArray {
-                mint: am,
-                elem: e,
-                len: 6,
-                ctype: CType::named("tag6"),
-            });
-            (vec![live("t", a)], vec![])
-        });
-        let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_be(), true).unwrap();
-        let req = &plans.stubs[0].request;
-        assert_eq!(req.len(), 2, "{req:?}");
-        assert!(matches!(&req[0], XcOp::BlockCopy { bytes: 6, .. }));
-        assert_eq!(req[1], XcOp::Pad { src: 2, dst: 0 });
+        // char[6]: XDR pads to 8, CDR does not — the pad stays outside
+        // the block so hostile pad bytes re-zero.
+        let idl = "struct B { char tag[6]; }; interface T { void put(in B b); };";
+        let pair = plan(&presc(idl), &Encoding::xdr(), &Encoding::cdr_be(), true).unwrap();
+        let (s, d) = slot0(&pair);
+        let fwd = packed_steps(packed(s), packed(d), true).unwrap();
+        assert!(
+            matches!(&fwd[0], Step::Copy(runs) if runs[0].count == 6),
+            "{fwd:?}"
+        );
+        assert_eq!(fwd[1], Step::Pad { src: 2, dst: 0 });
         // And the reverse direction mirrors the pad.
-        let rev = &plans.stubs[0].request_rev;
-        assert_eq!(rev[1], XcOp::Pad { src: 0, dst: 2 });
+        let rev = packed_steps(packed(d), packed(s), true).unwrap();
+        assert_eq!(rev[1], Step::Pad { src: 0, dst: 2 });
     }
 
     #[test]
     fn dead_slots_leave_the_wire_and_strings_keep_bounds() {
-        let p = presc_with(|mint, pres| {
-            let sm = mint.string(Some(64));
-            let i32m = mint.i32();
-            let s = pres.add(PresNode::TerminatedString {
-                mint: sm,
-                alloc: flick_pres::AllocSem::heap_only(),
-            });
-            let d = pres.add(PresNode::Direct {
-                mint: i32m,
-                ctype: CType::Int,
-            });
-            (
-                vec![
-                    live("msg", s),
-                    ParamBinding {
-                        c_name: "_pad".into(),
-                        pres: d,
-                        by_ref: false,
-                        live: false,
-                    },
-                ],
-                vec![],
-            )
-        });
-        let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_be(), true).unwrap();
-        assert_eq!(
-            plans.stubs[0].request.as_slice(),
-            &[XcOp::Str { bound: Some(64) }]
-        );
+        let idl = "interface T { void put(in string<64> msg, in long _pad); };";
+        let pair = plan(&presc(idl), &Encoding::xdr(), &Encoding::cdr_be(), true).unwrap();
+        for side in [&pair.src, &pair.dst] {
+            let slots = &side.mir.stubs[0].request.slots;
+            assert_eq!(slots.len(), 1, "the dead `_pad` slot is gone: {slots:?}");
+            assert!(
+                matches!(
+                    slots[0].node,
+                    PlanNode::String {
+                        bound: Some(64),
+                        ..
+                    }
+                ),
+                "{:?}",
+                slots[0].node
+            );
+        }
     }
 
     #[test]
     fn typed_descriptor_encodings_are_rejected() {
-        let p = stat_presc();
-        let err = plan(&p, &Encoding::mach3(), &Encoding::cdr_be(), true).unwrap_err();
+        let err = plan(&presc(STAT), &Encoding::mach3(), &Encoding::cdr_be(), true).unwrap_err();
         assert!(err.contains("mach3"), "{err}");
     }
 
     #[test]
-    fn verifier_rejects_corrupt_fusions() {
-        let p = stat_presc();
-        let good = plan(&p, &Encoding::xdr(), &Encoding::cdr_be(), true).unwrap();
-
-        // Byte count out of sync with the parts.
-        let mut bad = good.clone();
-        if let XcOp::BlockCopy { bytes, .. } = &mut bad.stubs[0].request[0] {
-            *bytes += 1;
-        }
-        assert!(verify(&bad).unwrap_err().contains("byte count"));
-
-        // A block copy surviving into an unfused plan.
-        let mut bad = good.clone();
-        bad.fused = false;
-        assert!(verify(&bad).unwrap_err().contains("unfused"));
-
-        // A block copy smuggled into the naive twin.
-        let mut bad = good.clone();
-        let block = bad.stubs[0].request[0].clone();
-        bad.stubs[0].naive_request.push(block);
-        assert!(verify(&bad).unwrap_err().contains("unfused"));
-
-        // An unresolved outline key.
-        let mut bad = good.clone();
-        bad.stubs[0]
-            .request
-            .push(XcOp::Outline { key: "nope".into() });
-        assert!(verify(&bad).unwrap_err().contains("nope"));
-
-        // A non-copyable part forced into a block.
-        let mut bad = good;
-        if let XcOp::BlockCopy { parts, .. } = &mut bad.stubs[0].request[0] {
-            parts[0].dst.order = Encoding::cdr_le().order;
-        }
-        assert!(verify(&bad).unwrap_err().contains("non-copyable"));
+    fn pair_check_rejects_corrupt_fusions() {
+        let good = steps_of(STAT, &Encoding::xdr(), &Encoding::cdr_be(), true);
+        let corrupt = |f: &dyn Fn(&mut Vec<Run>)| {
+            let mut bad = good.clone();
+            let Step::Copy(runs) = &mut bad[0] else {
+                unreachable!()
+            };
+            f(runs);
+            check_steps(&bad, true).unwrap_err()
+        };
+        // Multi-byte run across byte orders.
+        let e = corrupt(&|r| r[0].dst.order = Order::Little);
+        assert!(e.contains("byte-swapped"), "{e}");
+        // A widened run.
+        let e = corrupt(&|r| {
+            let (mut s, mut d) = (Encoding::xdr().prim_for_size(2, true), r[0].dst);
+            d.size = 2;
+            d.slot = 2;
+            s.signed = d.signed;
+            r[0] = Run {
+                src: s,
+                dst: d,
+                count: 1,
+            };
+        });
+        assert!(e.contains("widened"), "{e}");
+        // A float run.
+        let e = corrupt(&|r| {
+            r[0].src.float = true;
+            r[0].dst.float = true;
+        });
+        assert!(e.contains("float"), "{e}");
+        // A run placed after the bytes: the block would copy the pad
+        // between the tag and the next long.
+        let e = corrupt(&|r| r.swap(0, 1));
+        assert!(e.contains("padding"), "{e}");
     }
 
     #[test]
     fn recursive_structs_outline_per_direction() {
-        // A linked list: struct node { i32 v; node *next; }.
-        let p = presc_with(|mint, pres| {
-            let i32m = mint.i32();
-            let node_m = mint.structure(vec![("v".into(), i32m)]);
-            let vd = pres.add(PresNode::Direct {
-                mint: i32m,
-                ctype: CType::Int,
-            });
-            let node_p = pres.reserve();
-            let next = pres.add(PresNode::OptionalPtr {
-                mint: node_m,
-                elem: node_p,
-                ctype: CType::ptr(CType::named("node")),
-                alloc: flick_pres::AllocSem::heap_only(),
-            });
-            pres.patch(
-                node_p,
-                PresNode::StructMap {
-                    mint: node_m,
-                    ctype: CType::named("node"),
-                    fields: vec![("v".into(), vd), ("next".into(), next)],
-                },
+        let aoi = flick_frontend_onc::parse_str("list.x", include_str!("../../../testdata/list.x"));
+        let mut d = Diagnostics::new();
+        let p =
+            flick_presgen::rpcgen_c(&aoi, "ListProg", flick_pres::Side::Server, &mut d).unwrap();
+        let pair = plan(&p, &Encoding::xdr(), &Encoding::cdr_le(), true).unwrap();
+        for side in [&pair.src, &pair.dst] {
+            assert_eq!(
+                side.mir.outlines.keys().collect::<Vec<_>>(),
+                ["node"],
+                "only the recursion stays out of line"
             );
-            (vec![live("head", node_p)], vec![])
-        });
-        let plans = plan(&p, &Encoding::xdr(), &Encoding::cdr_be(), true).unwrap();
-        assert!(plans.outlines_fwd.contains_key("node"), "{plans:?}");
-        let body = &plans.outlines_fwd["node"];
-        assert!(
-            body.iter().any(|op| matches!(op, XcOp::Opt { elem, .. }
-                if elem.iter().any(|o| matches!(o, XcOp::Outline { key } if key == "node")))),
-            "helper recurses through the optional tail: {body:?}"
-        );
-        assert!(!has_block(body), "helper bodies stay unfused: {body:?}");
+        }
+        let module = crate::emit_transcode::emit(&pair).unwrap();
+        for tag in ["fwd", "rev"] {
+            let helper = module
+                .split(&format!("fn xc_{tag}_node("))
+                .nth(1)
+                .and_then(|rest| rest.split("\n}\n").next())
+                .unwrap_or_else(|| panic!("no {tag} helper in:\n{module}"));
+            assert!(
+                helper.contains(&format!("xc_{tag}_node(r, buf, _sb, _db)?;")),
+                "the helper recurses through the optional tail:\n{helper}"
+            );
+            assert!(
+                !helper.contains("// fused"),
+                "helpers never fuse:\n{helper}"
+            );
+        }
     }
 }

@@ -65,430 +65,411 @@ pub static BRIDGE_OPS: &[BridgeOp] = &[
 ];
 
 /// Rewrites the `send_ints` request body xdr → cdr-le (fused when the plan is).
-pub fn transcode_send_ints_request(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
+pub fn transcode_send_ints_request(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
     let _sb = r.pos();
-    let _db = dst.len();
+    let _db = buf.len();
     let _len1 = r.get_u32_be()? as usize;
-    dst.align_from(_db, 4);
-    dst.put_u32_le((_len1) as u32);
+    buf.align_from(_db, 4);
+    buf.put_u32_le(_len1 as u32);
+    buf.align_from(_db, 4);
     for _i2 in 0.._len1 {
         let _v3 = r.get_u32_be()? as i32;
-        dst.align_from(_db, 4);
-        dst.put_u32_le((_v3) as u32);
+        buf.put_u32_le((_v3) as u32);
     }
     Ok(())
 }
 
 /// Rewrites the `send_ints` reply body cdr-le → xdr.
-pub fn transcode_send_ints_reply(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let _ = (src, dst);
+pub fn transcode_send_ints_reply(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
+    let _ = (src, buf);
     Ok(())
 }
 
 /// Slot-wise `send_ints` request rewrite (the fuse-transcode ablation path).
-pub fn transcode_send_ints_request_naive(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
+pub fn transcode_send_ints_request_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
     let _sb = r.pos();
-    let _db = dst.len();
+    let _db = buf.len();
     let _len1 = r.get_u32_be()? as usize;
-    dst.align_from(_db, 4);
-    dst.put_u32_le((_len1) as u32);
+    buf.align_from(_db, 4);
+    buf.put_u32_le(_len1 as u32);
+    buf.align_from(_db, 4);
     let mut _v2: Vec<i32> = Vec::with_capacity(_len1.min(r.remaining() / 4 + 1));
     for _i3 in 0.._len1 {
         _v2.push(r.get_u32_be()? as i32);
     }
     for _e4 in &_v2 {
-        dst.align_from(_db, 4);
-        dst.put_u32_le((*_e4) as u32);
+        buf.put_u32_le((*_e4) as u32);
     }
     Ok(())
 }
 
 /// Slot-wise `send_ints` reply rewrite (the fuse-transcode ablation path).
-pub fn transcode_send_ints_reply_naive(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let _ = (src, dst);
+pub fn transcode_send_ints_reply_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
+    let _ = (src, buf);
     Ok(())
 }
 
 /// Rewrites the `send_ints` request body cdr-le → xdr (reverse gateway).
-pub fn transcode_send_ints_request_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
+pub fn transcode_send_ints_request_rev(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
     let _sb = r.pos();
-    let _db = dst.len();
+    let _db = buf.len();
     r.align_from(_sb, 4)?;
     let _len1 = r.get_u32_le()? as usize;
-    dst.put_u32_be((_len1) as u32);
+    buf.put_u32_be(_len1 as u32);
+    r.align_from(_sb, 4)?;
     for _i2 in 0.._len1 {
-        r.align_from(_sb, 4)?;
         let _v3 = r.get_u32_le()? as i32;
-        dst.put_u32_be((_v3) as u32);
+        buf.put_u32_be((_v3) as u32);
     }
     Ok(())
 }
 
 /// Rewrites the `send_ints` reply body xdr → cdr-le (reverse gateway).
-pub fn transcode_send_ints_reply_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let _ = (src, dst);
+pub fn transcode_send_ints_reply_rev(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
+    let _ = (src, buf);
     Ok(())
 }
 
 /// Rewrites the `send_rects` request body xdr → cdr-le (fused when the plan is).
-pub fn transcode_send_rects_request(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
+pub fn transcode_send_rects_request(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
     let _sb = r.pos();
-    let _db = dst.len();
+    let _db = buf.len();
     let _len1 = r.get_u32_be()? as usize;
-    dst.align_from(_db, 4);
-    dst.put_u32_le((_len1) as u32);
+    buf.align_from(_db, 4);
+    buf.put_u32_le(_len1 as u32);
     for _i2 in 0.._len1 {
-        let _v3 = r.get_u32_be()? as i32;
-        dst.align_from(_db, 4);
-        dst.put_u32_le((_v3) as u32);
-        let _v4 = r.get_u32_be()? as i32;
-        dst.align_from(_db, 4);
-        dst.put_u32_le((_v4) as u32);
-        let _v5 = r.get_u32_be()? as i32;
-        dst.align_from(_db, 4);
-        dst.put_u32_le((_v5) as u32);
-        let _v6 = r.get_u32_be()? as i32;
-        dst.align_from(_db, 4);
-        dst.put_u32_le((_v6) as u32);
+        buf.align_from(_db, 4);
+        for _i3 in 0..4usize {
+            let _v4 = r.get_u32_be()? as i32;
+            buf.put_u32_le((_v4) as u32);
+        }
     }
     Ok(())
 }
 
 /// Rewrites the `send_rects` reply body cdr-le → xdr.
-pub fn transcode_send_rects_reply(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let _ = (src, dst);
+pub fn transcode_send_rects_reply(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
+    let _ = (src, buf);
     Ok(())
 }
 
 /// Slot-wise `send_rects` request rewrite (the fuse-transcode ablation path).
-pub fn transcode_send_rects_request_naive(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
+pub fn transcode_send_rects_request_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
     let _sb = r.pos();
-    let _db = dst.len();
+    let _db = buf.len();
     let _len1 = r.get_u32_be()? as usize;
-    dst.align_from(_db, 4);
-    dst.put_u32_le((_len1) as u32);
+    buf.align_from(_db, 4);
+    buf.put_u32_le(_len1 as u32);
     for _i2 in 0.._len1 {
-        let _v3 = r.get_u32_be()? as i32;
-        dst.align_from(_db, 4);
-        dst.put_u32_le((_v3) as u32);
-        let _v4 = r.get_u32_be()? as i32;
-        dst.align_from(_db, 4);
-        dst.put_u32_le((_v4) as u32);
-        let _v5 = r.get_u32_be()? as i32;
-        dst.align_from(_db, 4);
-        dst.put_u32_le((_v5) as u32);
-        let _v6 = r.get_u32_be()? as i32;
-        dst.align_from(_db, 4);
-        dst.put_u32_le((_v6) as u32);
+        buf.align_from(_db, 4);
+        for _i3 in 0..4usize {
+            let _v4 = r.get_u32_be()? as i32;
+            buf.put_u32_le((_v4) as u32);
+        }
     }
     Ok(())
 }
 
 /// Slot-wise `send_rects` reply rewrite (the fuse-transcode ablation path).
-pub fn transcode_send_rects_reply_naive(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let _ = (src, dst);
+pub fn transcode_send_rects_reply_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
+    let _ = (src, buf);
     Ok(())
 }
 
 /// Rewrites the `send_rects` request body cdr-le → xdr (reverse gateway).
-pub fn transcode_send_rects_request_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
+pub fn transcode_send_rects_request_rev(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
     let _sb = r.pos();
-    let _db = dst.len();
+    let _db = buf.len();
     r.align_from(_sb, 4)?;
     let _len1 = r.get_u32_le()? as usize;
-    dst.put_u32_be((_len1) as u32);
+    buf.put_u32_be(_len1 as u32);
     for _i2 in 0.._len1 {
         r.align_from(_sb, 4)?;
-        let _v3 = r.get_u32_le()? as i32;
-        dst.put_u32_be((_v3) as u32);
-        r.align_from(_sb, 4)?;
-        let _v4 = r.get_u32_le()? as i32;
-        dst.put_u32_be((_v4) as u32);
-        r.align_from(_sb, 4)?;
-        let _v5 = r.get_u32_le()? as i32;
-        dst.put_u32_be((_v5) as u32);
-        r.align_from(_sb, 4)?;
-        let _v6 = r.get_u32_le()? as i32;
-        dst.put_u32_be((_v6) as u32);
+        for _i3 in 0..4usize {
+            let _v4 = r.get_u32_le()? as i32;
+            buf.put_u32_be((_v4) as u32);
+        }
     }
     Ok(())
 }
 
 /// Rewrites the `send_rects` reply body xdr → cdr-le (reverse gateway).
-pub fn transcode_send_rects_reply_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let _ = (src, dst);
+pub fn transcode_send_rects_reply_rev(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
+    let _ = (src, buf);
     Ok(())
 }
 
 /// Rewrites the `send_dirents` request body xdr → cdr-le (fused when the plan is).
-pub fn transcode_send_dirents_request(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
+pub fn transcode_send_dirents_request(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
     let _sb = r.pos();
-    let _db = dst.len();
+    let _db = buf.len();
     let _len1 = r.get_u32_be()? as usize;
-    dst.align_from(_db, 4);
-    dst.put_u32_le((_len1) as u32);
+    buf.align_from(_db, 4);
+    buf.put_u32_le(_len1 as u32);
     for _i2 in 0.._len1 {
         let _len3 = r.get_u32_be()? as usize;
         let _bytes4 = r.bytes(_len3)?;
         r.skip((4 - _len3 % 4) % 4)?;
-        let _s5 = std::str::from_utf8(_bytes4).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-        dst.align_from(_db, 4);
-        dst.put_u32_le((_s5.len() + 1) as u32);
-        dst.put_bytes(_s5.as_bytes());
-        dst.put_u8(0);
+        let _s5 = std::str::from_utf8(_bytes4).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?; // zero-copy
+        buf.align_from(_db, 4);
+        buf.put_u32_le((_s5.len() + 1) as u32);
+        buf.put_bytes(_s5.as_bytes());
+        buf.put_u8(0);
+        buf.align_from(_db, 4);
         for _i6 in 0..30usize {
             let _v7 = r.get_u32_be()? as i32;
-            dst.align_from(_db, 4);
-            dst.put_u32_le((_v7) as u32);
+            buf.put_u32_le((_v7) as u32);
         }
-        dst.put_bytes(r.bytes(16usize)?); // fused: 16 values block-copied
+        buf.put_bytes(r.bytes(16usize)?); // fused: 16 values block-copied
     }
     Ok(())
 }
 
 /// Rewrites the `send_dirents` reply body cdr-le → xdr.
-pub fn transcode_send_dirents_reply(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let _ = (src, dst);
+pub fn transcode_send_dirents_reply(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
+    let _ = (src, buf);
     Ok(())
 }
 
 /// Slot-wise `send_dirents` request rewrite (the fuse-transcode ablation path).
-pub fn transcode_send_dirents_request_naive(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
+pub fn transcode_send_dirents_request_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
     let _sb = r.pos();
-    let _db = dst.len();
+    let _db = buf.len();
     let _len1 = r.get_u32_be()? as usize;
-    dst.align_from(_db, 4);
-    dst.put_u32_le((_len1) as u32);
+    buf.align_from(_db, 4);
+    buf.put_u32_le(_len1 as u32);
     for _i2 in 0.._len1 {
         let _len3 = r.get_u32_be()? as usize;
         let _bytes4 = r.bytes(_len3)?;
         r.skip((4 - _len3 % 4) % 4)?;
         let _s5 = String::from_utf8(_bytes4.to_vec()).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-        dst.align_from(_db, 4);
-        dst.put_u32_le((_s5.len() + 1) as u32);
-        dst.put_bytes(_s5.as_bytes());
-        dst.put_u8(0);
+        buf.align_from(_db, 4);
+        buf.put_u32_le((_s5.len() + 1) as u32);
+        buf.put_bytes(_s5.as_bytes());
+        buf.put_u8(0);
+        buf.align_from(_db, 4);
         for _i6 in 0..30usize {
             let _v7 = r.get_u32_be()? as i32;
-            dst.align_from(_db, 4);
-            dst.put_u32_le((_v7) as u32);
+            buf.put_u32_le((_v7) as u32);
         }
         for _i8 in 0..16usize {
-            let _v9 = r.get_u8()?;
-            dst.put_u8((_v9) as u8);
+            let _v9 = r.get_u8()? as u8;
+            buf.put_u8((_v9) as u8);
         }
     }
     Ok(())
 }
 
 /// Slot-wise `send_dirents` reply rewrite (the fuse-transcode ablation path).
-pub fn transcode_send_dirents_reply_naive(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let _ = (src, dst);
+pub fn transcode_send_dirents_reply_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
+    let _ = (src, buf);
     Ok(())
 }
 
 /// Rewrites the `send_dirents` request body cdr-le → xdr (reverse gateway).
-pub fn transcode_send_dirents_request_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
+pub fn transcode_send_dirents_request_rev(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
     let _sb = r.pos();
-    let _db = dst.len();
+    let _db = buf.len();
     r.align_from(_sb, 4)?;
     let _len1 = r.get_u32_le()? as usize;
-    dst.put_u32_be((_len1) as u32);
+    buf.put_u32_be(_len1 as u32);
     for _i2 in 0.._len1 {
         r.align_from(_sb, 4)?;
         let _len3 = r.get_u32_le()? as usize;
         if _len3 == 0 { return Err(DecodeError::BadValue("CDR string length must include NUL")); }
         let _bytes4 = &r.bytes(_len3)?[.._len3 - 1];
-        let _s5 = std::str::from_utf8(_bytes4).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?;
-        dst.put_u32_be(_s5.len() as u32);
-        dst.put_bytes(_s5.as_bytes());
-        dst.put_zeros((4 - _s5.len() % 4) % 4);
+        let _s5 = std::str::from_utf8(_bytes4).map_err(|_| DecodeError::BadValue("string is not UTF-8"))?; // zero-copy
+        buf.put_u32_be(_s5.len() as u32);
+        buf.put_bytes(_s5.as_bytes());
+        buf.align_to(4);
+        r.align_from(_sb, 4)?;
         for _i6 in 0..30usize {
-            r.align_from(_sb, 4)?;
             let _v7 = r.get_u32_le()? as i32;
-            dst.put_u32_be((_v7) as u32);
+            buf.put_u32_be((_v7) as u32);
         }
-        dst.put_bytes(r.bytes(16usize)?); // fused: 16 values block-copied
+        buf.put_bytes(r.bytes(16usize)?); // fused: 16 values block-copied
     }
     Ok(())
 }
 
 /// Rewrites the `send_dirents` reply body xdr → cdr-le (reverse gateway).
-pub fn transcode_send_dirents_reply_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
-    let _ = (src, dst);
+pub fn transcode_send_dirents_reply_rev(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
+    let _ = (src, buf);
     Ok(())
 }
 
 /// Rewrites the `echo_stat` request body xdr → cdr-le (fused when the plan is).
-pub fn transcode_echo_stat_request(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
+pub fn transcode_echo_stat_request(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
     let _sb = r.pos();
-    let _db = dst.len();
+    let _db = buf.len();
+    buf.align_from(_db, 4);
     for _i1 in 0..30usize {
         let _v2 = r.get_u32_be()? as i32;
-        dst.align_from(_db, 4);
-        dst.put_u32_le((_v2) as u32);
+        buf.put_u32_le((_v2) as u32);
     }
-    dst.put_bytes(r.bytes(16usize)?); // fused: 16 values block-copied
+    buf.put_bytes(r.bytes(16usize)?); // fused: 16 values block-copied
     Ok(())
 }
 
 /// Rewrites the `echo_stat` reply body cdr-le → xdr.
-pub fn transcode_echo_stat_reply(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
+pub fn transcode_echo_stat_reply(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
     let _sb = r.pos();
-    let _db = dst.len();
+    let _db = buf.len();
+    r.align_from(_sb, 4)?;
     for _i1 in 0..30usize {
-        r.align_from(_sb, 4)?;
         let _v2 = r.get_u32_le()? as i32;
-        dst.put_u32_be((_v2) as u32);
+        buf.put_u32_be((_v2) as u32);
     }
-    dst.put_bytes(r.bytes(16usize)?); // fused: 16 values block-copied
+    buf.put_bytes(r.bytes(16usize)?); // fused: 16 values block-copied
     Ok(())
 }
 
 /// Slot-wise `echo_stat` request rewrite (the fuse-transcode ablation path).
-pub fn transcode_echo_stat_request_naive(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
+pub fn transcode_echo_stat_request_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
     let _sb = r.pos();
-    let _db = dst.len();
+    let _db = buf.len();
+    buf.align_from(_db, 4);
     for _i1 in 0..30usize {
         let _v2 = r.get_u32_be()? as i32;
-        dst.align_from(_db, 4);
-        dst.put_u32_le((_v2) as u32);
+        buf.put_u32_le((_v2) as u32);
     }
     for _i3 in 0..16usize {
-        let _v4 = r.get_u8()?;
-        dst.put_u8((_v4) as u8);
+        let _v4 = r.get_u8()? as u8;
+        buf.put_u8((_v4) as u8);
     }
     Ok(())
 }
 
 /// Slot-wise `echo_stat` reply rewrite (the fuse-transcode ablation path).
-pub fn transcode_echo_stat_reply_naive(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
+pub fn transcode_echo_stat_reply_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
     let _sb = r.pos();
-    let _db = dst.len();
+    let _db = buf.len();
+    r.align_from(_sb, 4)?;
     for _i1 in 0..30usize {
-        r.align_from(_sb, 4)?;
         let _v2 = r.get_u32_le()? as i32;
-        dst.put_u32_be((_v2) as u32);
+        buf.put_u32_be((_v2) as u32);
     }
     for _i3 in 0..16usize {
-        let _v4 = r.get_u8()?;
-        dst.put_u8((_v4) as u8);
+        let _v4 = r.get_u8()? as u8;
+        buf.put_u8((_v4) as u8);
     }
     Ok(())
 }
 
 /// Rewrites the `echo_stat` request body cdr-le → xdr (reverse gateway).
-pub fn transcode_echo_stat_request_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
+pub fn transcode_echo_stat_request_rev(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
     let _sb = r.pos();
-    let _db = dst.len();
+    let _db = buf.len();
+    r.align_from(_sb, 4)?;
     for _i1 in 0..30usize {
-        r.align_from(_sb, 4)?;
         let _v2 = r.get_u32_le()? as i32;
-        dst.put_u32_be((_v2) as u32);
+        buf.put_u32_be((_v2) as u32);
     }
-    dst.put_bytes(r.bytes(16usize)?); // fused: 16 values block-copied
+    buf.put_bytes(r.bytes(16usize)?); // fused: 16 values block-copied
     Ok(())
 }
 
 /// Rewrites the `echo_stat` reply body xdr → cdr-le (reverse gateway).
-pub fn transcode_echo_stat_reply_rev(src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
+pub fn transcode_echo_stat_reply_rev(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
     let _sb = r.pos();
-    let _db = dst.len();
+    let _db = buf.len();
+    buf.align_from(_db, 4);
     for _i1 in 0..30usize {
         let _v2 = r.get_u32_be()? as i32;
-        dst.align_from(_db, 4);
-        dst.put_u32_le((_v2) as u32);
+        buf.put_u32_le((_v2) as u32);
     }
-    dst.put_bytes(r.bytes(16usize)?); // fused: 16 values block-copied
+    buf.put_bytes(r.bytes(16usize)?); // fused: 16 values block-copied
     Ok(())
 }
 
 /// Dispatches a `request` rewrite on the source procedure number.
-pub fn transcode_request(proc_num: u32, src: &[u8], dst: &mut MarshalBuf) -> Result<&'static str, DecodeError> {
+pub fn transcode_request(proc_num: u32, src: &[u8], buf: &mut MarshalBuf) -> Result<&'static str, DecodeError> {
     match proc_num {
-        1u32 => { transcode_send_ints_request(src, dst)?; Ok("send_ints") }
-        2u32 => { transcode_send_rects_request(src, dst)?; Ok("send_rects") }
-        3u32 => { transcode_send_dirents_request(src, dst)?; Ok("send_dirents") }
-        4u32 => { transcode_echo_stat_request(src, dst)?; Ok("echo_stat") }
+        1u32 => { transcode_send_ints_request(src, buf)?; Ok("send_ints") }
+        2u32 => { transcode_send_rects_request(src, buf)?; Ok("send_rects") }
+        3u32 => { transcode_send_dirents_request(src, buf)?; Ok("send_dirents") }
+        4u32 => { transcode_echo_stat_request(src, buf)?; Ok("echo_stat") }
         _ => Err(DecodeError::BadHeader("unknown procedure")),
     }
 }
 
 /// Dispatches a `request_naive` rewrite on the source procedure number.
-pub fn transcode_request_naive(proc_num: u32, src: &[u8], dst: &mut MarshalBuf) -> Result<&'static str, DecodeError> {
+pub fn transcode_request_naive(proc_num: u32, src: &[u8], buf: &mut MarshalBuf) -> Result<&'static str, DecodeError> {
     match proc_num {
-        1u32 => { transcode_send_ints_request_naive(src, dst)?; Ok("send_ints") }
-        2u32 => { transcode_send_rects_request_naive(src, dst)?; Ok("send_rects") }
-        3u32 => { transcode_send_dirents_request_naive(src, dst)?; Ok("send_dirents") }
-        4u32 => { transcode_echo_stat_request_naive(src, dst)?; Ok("echo_stat") }
+        1u32 => { transcode_send_ints_request_naive(src, buf)?; Ok("send_ints") }
+        2u32 => { transcode_send_rects_request_naive(src, buf)?; Ok("send_rects") }
+        3u32 => { transcode_send_dirents_request_naive(src, buf)?; Ok("send_dirents") }
+        4u32 => { transcode_echo_stat_request_naive(src, buf)?; Ok("echo_stat") }
         _ => Err(DecodeError::BadHeader("unknown procedure")),
     }
 }
 
 /// Dispatches a `reply` rewrite on the source procedure number.
-pub fn transcode_reply(proc_num: u32, src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
+pub fn transcode_reply(proc_num: u32, src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     match proc_num {
-        1u32 => transcode_send_ints_reply(src, dst),
-        2u32 => transcode_send_rects_reply(src, dst),
-        3u32 => transcode_send_dirents_reply(src, dst),
-        4u32 => transcode_echo_stat_reply(src, dst),
+        1u32 => transcode_send_ints_reply(src, buf),
+        2u32 => transcode_send_rects_reply(src, buf),
+        3u32 => transcode_send_dirents_reply(src, buf),
+        4u32 => transcode_echo_stat_reply(src, buf),
         _ => Err(DecodeError::BadHeader("unknown procedure")),
     }
 }
 
 /// Dispatches a `reply_naive` rewrite on the source procedure number.
-pub fn transcode_reply_naive(proc_num: u32, src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
+pub fn transcode_reply_naive(proc_num: u32, src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     match proc_num {
-        1u32 => transcode_send_ints_reply_naive(src, dst),
-        2u32 => transcode_send_rects_reply_naive(src, dst),
-        3u32 => transcode_send_dirents_reply_naive(src, dst),
-        4u32 => transcode_echo_stat_reply_naive(src, dst),
+        1u32 => transcode_send_ints_reply_naive(src, buf),
+        2u32 => transcode_send_rects_reply_naive(src, buf),
+        3u32 => transcode_send_dirents_reply_naive(src, buf),
+        4u32 => transcode_echo_stat_reply_naive(src, buf),
         _ => Err(DecodeError::BadHeader("unknown procedure")),
     }
 }
 
 /// Dispatches a `reply_rev` rewrite on the source procedure number.
-pub fn transcode_reply_rev(proc_num: u32, src: &[u8], dst: &mut MarshalBuf) -> Result<(), DecodeError> {
+pub fn transcode_reply_rev(proc_num: u32, src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     match proc_num {
-        1u32 => transcode_send_ints_reply_rev(src, dst),
-        2u32 => transcode_send_rects_reply_rev(src, dst),
-        3u32 => transcode_send_dirents_reply_rev(src, dst),
-        4u32 => transcode_echo_stat_reply_rev(src, dst),
+        1u32 => transcode_send_ints_reply_rev(src, buf),
+        2u32 => transcode_send_rects_reply_rev(src, buf),
+        3u32 => transcode_send_dirents_reply_rev(src, buf),
+        4u32 => transcode_echo_stat_reply_rev(src, buf),
         _ => Err(DecodeError::BadHeader("unknown procedure")),
     }
 }
 
-/// Reads a zero-padded machine word of the discriminator.
+/// Reads a zero-padded machine word of the discriminator (§3.3:
+/// "Flick generates demultiplexing code that examines machine
+/// word-size chunks of the discriminator").
 #[inline]
 fn word_at(s: &[u8], i: usize) -> u32 {
     let mut w = [0u8; 4];
@@ -502,14 +483,14 @@ fn word_at(s: &[u8], i: usize) -> u32 {
 /// Reverse-gateway request dispatch on the wire operation name,
 /// demultiplexed word by word; returns the procedure number for
 /// the outgoing call header.
-pub fn transcode_request_by_name(op: &[u8], src: &[u8], dst: &mut MarshalBuf) -> Result<u32, DecodeError> {
+pub fn transcode_request_by_name(op: &[u8], src: &[u8], buf: &mut MarshalBuf) -> Result<u32, DecodeError> {
     match word_at(op, 0) {
         1684956531u32 => {
             match word_at(op, 4) {
                 1667592799u32 => {
                     match word_at(op, 8) {
                         29556u32 if op.len() == 10 => { // "send_rects"
-                            transcode_send_rects_request_rev(src, dst)?;
+                            transcode_send_rects_request_rev(src, buf)?;
                             Ok(2u32)
                         }
                         _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
@@ -518,7 +499,7 @@ pub fn transcode_request_by_name(op: &[u8], src: &[u8], dst: &mut MarshalBuf) ->
                 1919509599u32 => {
                     match word_at(op, 8) {
                         1937010277u32 if op.len() == 12 => { // "send_dirents"
-                            transcode_send_dirents_request_rev(src, dst)?;
+                            transcode_send_dirents_request_rev(src, buf)?;
                             Ok(3u32)
                         }
                         _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
@@ -527,7 +508,7 @@ pub fn transcode_request_by_name(op: &[u8], src: &[u8], dst: &mut MarshalBuf) ->
                 1953392991u32 => {
                     match word_at(op, 8) {
                         115u32 if op.len() == 9 => { // "send_ints"
-                            transcode_send_ints_request_rev(src, dst)?;
+                            transcode_send_ints_request_rev(src, buf)?;
                             Ok(1u32)
                         }
                         _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
@@ -541,7 +522,7 @@ pub fn transcode_request_by_name(op: &[u8], src: &[u8], dst: &mut MarshalBuf) ->
                 1635021663u32 => {
                     match word_at(op, 8) {
                         116u32 if op.len() == 9 => { // "echo_stat"
-                            transcode_echo_stat_request_rev(src, dst)?;
+                            transcode_echo_stat_request_rev(src, buf)?;
                             Ok(4u32)
                         }
                         _ => Err(DecodeError::BadDiscriminator { value: op.len() as i64 }),
