@@ -12,8 +12,10 @@
 //! reads it (alignment, bound, NUL, UTF-8, discriminator and flag
 //! checks, at the same stream positions) and written as the target
 //! encoder writes it.  Fused steps become `put_bytes(r.bytes(n)?)`
-//! block moves; the `_naive` twins never fuse and materialize strings
-//! and scalar sequences, as decode-then-re-encode would.
+//! block moves.  Unfused rewrites — the `_naive` twins, and every
+//! rewrite of a module built with `fuse-transcode` off — never
+//! block-copy and materialize strings and scalar sequences, as
+//! decode-then-re-encode would.
 
 use std::fmt::Write;
 
@@ -51,18 +53,6 @@ struct Dir<'a> {
     to: &'a Side,
     /// Helper-name prefix (`fwd` = src→dst, `rev` = dst→src).
     tag: &'static str,
-}
-
-/// How a rewrite treats agreeing runs and presented values.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Agreeing runs block-copy; strings borrow.
-    Fused,
-    /// No block copies; strings still borrow (`fuse-transcode` off).
-    Unfused,
-    /// Decode-then-re-encode: no block copies, strings and scalar
-    /// sequences materialize.
-    Naive,
 }
 
 struct Emit<'a> {
@@ -157,7 +147,7 @@ impl<'a> Emit<'a> {
         );
         let ops = self.ops();
         self.bridge_table(&ops);
-        for (s, d) in &ops {
+        for &(s, d) in &ops {
             self.op_fns(s, d)?;
         }
         self.dispatchers(&ops)?;
@@ -188,74 +178,44 @@ impl<'a> Emit<'a> {
     }
 
     /// The six rewrites of one operation: request forward and reply in
-    /// reverse (primary and naive), then the reverse gateway's pair.
-    fn op_fns(&mut self, s: &StubPlan, d: &StubPlan) -> Result<(), String> {
+    /// reverse (primary and naive twin), then the reverse gateway's
+    /// pair.
+    fn op_fns(&mut self, s: &'a StubPlan, d: &'a StubPlan) -> Result<(), String> {
         let n = &s.op.name;
-        let (src, dst) = (self.pair.src.enc.name, self.pair.dst.enc.name);
-        let primary = if self.pair.fused {
-            Mode::Fused
-        } else {
-            Mode::Unfused
-        };
-        let (fwd, rev) = (self.fwd(), self.rev());
-        let naive_doc = "rewrite (the fuse-transcode ablation path).";
-        for (suffix, doc, read, write, dir, mode) in [
-            (
-                "request",
-                format!("Rewrites the `{n}` request body {src} → {dst} (fused when the plan is)."),
-                &s.request,
-                &d.request,
-                fwd,
-                primary,
-            ),
-            (
-                "reply",
-                format!("Rewrites the `{n}` reply body {dst} → {src}."),
-                &d.reply,
-                &s.reply,
-                rev,
-                primary,
-            ),
-            (
-                "request_naive",
-                format!("Slot-wise `{n}` request {naive_doc}"),
-                &s.request,
-                &d.request,
-                fwd,
-                Mode::Naive,
-            ),
-            (
-                "reply_naive",
-                format!("Slot-wise `{n}` reply {naive_doc}"),
-                &d.reply,
-                &s.reply,
-                rev,
-                Mode::Naive,
-            ),
-            (
-                "request_rev",
-                format!("Rewrites the `{n}` request body {dst} → {src} (reverse gateway)."),
-                &d.request,
-                &s.request,
-                rev,
-                primary,
-            ),
-            (
-                "reply_rev",
-                format!("Rewrites the `{n}` reply body {src} → {dst} (reverse gateway)."),
-                &s.reply,
-                &d.reply,
-                fwd,
-                primary,
-            ),
+        let fused = self.pair.fused;
+        // (suffix, reads the source side, request message, fused)
+        for (suffix, forward, request, fused) in [
+            ("request", true, true, fused),
+            ("reply", false, false, fused),
+            ("request_naive", true, true, false),
+            ("reply_naive", false, false, false),
+            ("request_rev", false, true, fused),
+            ("reply_rev", true, false, fused),
         ] {
+            let (dir, read, write) = if forward {
+                (self.fwd(), s, d)
+            } else {
+                (self.rev(), d, s)
+            };
+            let msg = |p: &'a StubPlan| if request { &p.request } else { &p.reply };
+            let what = if request { "request" } else { "reply" };
+            let doc = format!(
+                "Rewrites the `{n}` {what} body {} → {}{}.",
+                dir.from.enc.name,
+                dir.to.enc.name,
+                match (fused, suffix.ends_with("_rev")) {
+                    (_, true) => " (reverse gateway)",
+                    (false, _) => " slot by slot (the fuse-transcode ablation path)",
+                    _ => "",
+                }
+            );
             self.body_fn(
                 &format!("transcode_{n}_{suffix}"),
                 &doc,
-                read,
-                write,
+                msg(read),
+                msg(write),
                 dir,
-                mode,
+                fused,
             )
             .map_err(|e| format!("op `{n}` {suffix}: {e}"))?;
         }
@@ -269,7 +229,7 @@ impl<'a> Emit<'a> {
         read: &MsgPlan,
         write: &MsgPlan,
         dir: Dir<'a>,
-        mode: Mode,
+        fused: bool,
     ) -> Result<(), String> {
         if read.slots.len() != write.slots.len() {
             return Err("the two sides disagree on the live slots".into());
@@ -287,7 +247,7 @@ impl<'a> Emit<'a> {
             self.line("let _sb = r.pos();");
             self.line("let _db = buf.len();");
             for (s, d) in read.slots.iter().zip(&write.slots) {
-                self.node(&s.node, &d.node, dir, mode)
+                self.node(&s.node, &d.node, dir, fused)
                     .map_err(|e| format!("slot `{}`: {e}", s.name))?;
             }
         }
@@ -301,7 +261,13 @@ impl<'a> Emit<'a> {
     // The lockstep walk.
     // -----------------------------------------------------------------
 
-    fn node(&mut self, s: &PlanNode, d: &PlanNode, dir: Dir<'a>, mode: Mode) -> Result<(), String> {
+    fn node(
+        &mut self,
+        s: &PlanNode,
+        d: &PlanNode,
+        dir: Dir<'a>,
+        fused: bool,
+    ) -> Result<(), String> {
         match (s, d) {
             (PlanNode::Void, PlanNode::Void) => {}
             (
@@ -311,8 +277,8 @@ impl<'a> Emit<'a> {
             (PlanNode::Packed { layout: sl, .. }, PlanNode::Packed { layout: dl, .. }) => {
                 self.src_align(dir, sl.align.min(8) as u8);
                 self.dst_align(dir, dl.align.min(8) as u8);
-                let steps = packed_steps(sl, dl, mode == Mode::Fused)?;
-                check_steps(&steps, mode == Mode::Fused)?;
+                let steps = packed_steps(sl, dl, fused)?;
+                check_steps(&steps, fused)?;
                 self.steps(&steps, dir);
             }
             (
@@ -330,8 +296,7 @@ impl<'a> Emit<'a> {
             ) => {
                 let lv = self.read_len(dir);
                 let (bytes, v) = (self.fresh("bytes"), self.fresh("s"));
-                let borrow = mode != Mode::Naive;
-                for l in string_read(&lv, &bytes, &v, *bound, *style, *pad_unit, borrow) {
+                for l in string_read(&lv, &bytes, &v, *bound, *style, *pad_unit, fused) {
                     self.line(&l);
                 }
                 self.dst_align(dir, 4);
@@ -343,7 +308,7 @@ impl<'a> Emit<'a> {
                 if sf.len() == df.len() =>
             {
                 for ((_, a), (_, b)) in sf.iter().zip(df) {
-                    self.node(a, b, dir, mode)?;
+                    self.node(a, b, dir, fused)?;
                 }
             }
             (
@@ -368,12 +333,12 @@ impl<'a> Emit<'a> {
                 self.open(&format!("match {v} {{"));
                 for ((label, _, a), (_, _, b)) in sc.iter().zip(dc) {
                     self.open(&format!("{label}i64 => {{"));
-                    self.node(a, b, dir, mode)?;
+                    self.node(a, b, dir, fused)?;
                     self.close("}");
                 }
                 if let (Some((_, a)), Some((_, b))) = (sdef, ddef) {
                     self.open("_ => {");
-                    self.node(a, b, dir, mode)?;
+                    self.node(a, b, dir, fused)?;
                     self.close("}");
                 } else {
                     self.line(&format!(
@@ -391,14 +356,14 @@ impl<'a> Emit<'a> {
                 ));
                 self.line(&put_prim_call(flag(dir.to), &f));
                 self.open(&format!("if {f} == 1 {{"));
-                self.node(a, b, dir, mode)?;
+                self.node(a, b, dir, fused)?;
                 self.close("}");
             }
             (PlanNode::Outline { key }, PlanNode::Outline { key: k2 }) if key == k2 => {
                 self.line(&format!("xc_{}_{key}(r, buf, _sb, _db)?;", dir.tag));
             }
             _ => match (array_of(s), array_of(d)) {
-                (Some(a), Some(b)) => self.array(a, b, dir, mode)?,
+                (Some(a), Some(b)) => self.array(a, b, dir, fused)?,
                 _ => return Err(format!("encoding pair disagrees on shape: {s:?} vs {d:?}")),
             },
         }
@@ -469,7 +434,7 @@ impl<'a> Emit<'a> {
         s: Array<'_>,
         d: Array<'_>,
         dir: Dir<'a>,
-        mode: Mode,
+        fused: bool,
     ) -> Result<(), String> {
         let len = match (s.fixed_len, d.fixed_len) {
             (None, None) => {
@@ -495,15 +460,16 @@ impl<'a> Emit<'a> {
             matches!(s.elems, Elems::Each(_)),
             matches!(d.elems, Elems::Each(_)),
         );
-        let fused = match mode {
-            Mode::Fused => bulk(&s.elems, &d.elems)?,
-            _ => None,
+        let bulk = if fused {
+            bulk(&s.elems, &d.elems)?
+        } else {
+            None
         };
         let scalars = (s.elems.scalar(), d.elems.scalar());
-        if let Some(b) = fused {
+        if let Some(b) = bulk {
             // Per-element sides align only when there is an element.
-            let guard = (per_src && self.src_aligns(dir, b.src_align))
-                || (per_dst && self.dst_aligns(dir, b.dst_align));
+            let guard = (per_src && aligns(dir.from, b.src_align))
+                || (per_dst && aligns(dir.to, b.dst_align));
             if guard {
                 self.open(&format!("if {len} > 0 {{"));
             }
@@ -520,7 +486,7 @@ impl<'a> Emit<'a> {
             if guard {
                 self.close("}");
             }
-        } else if let (Mode::Naive, (Some(sp), Some(dp))) = (mode, scalars) {
+        } else if let (false, (Some(sp), Some(dp))) = (fused, scalars) {
             // The naive twin materializes the presented vector, then
             // re-encodes it.
             let (v, i, e) = (self.fresh("v"), self.fresh("i"), self.fresh("e"));
@@ -546,7 +512,7 @@ impl<'a> Emit<'a> {
             self.open(&format!("for {i} in 0..{len} {{"));
             match (s.elems, d.elems, scalars) {
                 (_, _, (Some(sp), Some(dp))) => self.value(sp, dp, dir, per_src, per_dst),
-                (Elems::Each(a), Elems::Each(b), _) => self.node(a, b, dir, mode)?,
+                (Elems::Each(a), Elems::Each(b), _) => self.node(a, b, dir, fused)?,
                 _ => return Err("encoding pair disagrees on an array element".into()),
             }
             self.close("}");
@@ -578,24 +544,14 @@ impl<'a> Emit<'a> {
         l
     }
 
-    /// Word-widening encodings (XDR) keep the stream aligned by
-    /// construction; only naturally aligned ones (CDR) skip.
-    fn src_aligns(&self, dir: Dir<'a>, align: u8) -> bool {
-        !dir.from.enc.widen_to_word && align > 1
-    }
-
-    fn dst_aligns(&self, dir: Dir<'a>, align: u8) -> bool {
-        !dir.to.enc.widen_to_word && align > 1
-    }
-
     fn src_align(&mut self, dir: Dir<'a>, align: u8) {
-        if self.src_aligns(dir, align) {
+        if aligns(dir.from, align) {
             self.align_line(&format!("r.align_from(_sb, {align})?;"));
         }
     }
 
     fn dst_align(&mut self, dir: Dir<'a>, align: u8) {
-        if self.dst_aligns(dir, align) {
+        if aligns(dir.to, align) {
             self.align_line(&format!("buf.align_from(_db, {align});"));
         }
     }
@@ -679,7 +635,7 @@ impl<'a> Emit<'a> {
                     "fn xc_{}_{key}(r: &mut MsgReader<'_>, buf: &mut MarshalBuf, _sb: usize, _db: usize) -> Result<(), DecodeError> {{",
                     dir.tag
                 ));
-                self.node(body, to, dir, Mode::Naive)
+                self.node(body, to, dir, false)
                     .map_err(|e| format!("outline `{key}`: {e}"))?;
                 self.line("Ok(())");
                 self.close("}");
@@ -688,6 +644,12 @@ impl<'a> Emit<'a> {
         }
         Ok(())
     }
+}
+
+/// Word-widening encodings (XDR) keep the stream aligned by
+/// construction; only naturally aligned ones (CDR) skip or pad.
+fn aligns(side: &Side, align: u8) -> bool {
+    !side.enc.widen_to_word && align > 1
 }
 
 impl WordSwitch for Emit<'_> {

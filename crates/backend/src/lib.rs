@@ -23,6 +23,9 @@
 //! * [`emit_c`] — MIR → CAST → C source (the paper's actual output);
 //! * [`emit_rust`] — MIR → Rust source against `flick-runtime`,
 //!   which the benchmark harness compiles and *executes*;
+//! * [`transcode`] / [`emit_transcode`] — encoding-pair gateways: the
+//!   presentation lowered once per encoding, the two MIRs walked in
+//!   lockstep through `emit_rust`'s forms;
 //! * [`opts`] — [`OptFlags`], individual toggles for each optimization
 //!   (a thin facade over [`PassPipeline`]) so the ablation benchmarks
 //!   can reproduce the paper's §3 claims.

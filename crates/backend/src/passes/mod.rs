@@ -40,7 +40,7 @@ use flick_stablehash::StableHasher;
 use crate::encoding::Encoding;
 use crate::mir::{self, PlanNode, PlanResult, StubPlans};
 use crate::opts::OptFlags;
-use crate::plan::{lower_presc, lower_stub, LowerOpts, Parallelism};
+use crate::plan::{lower_presc, lower_stub, Parallelism, PresLowerOpts};
 use crate::verify::verify;
 
 mod chunks;
@@ -179,7 +179,7 @@ pub struct MirDump {
 
 /// An ordered, toggleable set of MIR passes plus lowering options.
 pub struct PassPipeline {
-    lower: LowerOpts,
+    lower: PresLowerOpts,
     passes: Vec<Box<dyn MirPass>>,
     /// Run the MIR verifier after lowering and between passes.
     pub verify: bool,
@@ -234,7 +234,7 @@ impl PassPipeline {
             passes.push(Box::new(MergePrefix));
         }
         PassPipeline {
-            lower: LowerOpts {
+            lower: PresLowerOpts {
                 param_mgmt: opts.param_mgmt,
             },
             passes,

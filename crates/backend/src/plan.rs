@@ -46,7 +46,7 @@ pub(crate) const PARALLEL_MIN_STUBS: usize = 16;
 /// §3.1 parameter management decides, per slot, whether the receive
 /// side may borrow storage from the message buffer.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct LowerOpts {
+pub(crate) struct PresLowerOpts {
     pub param_mgmt: bool,
 }
 
@@ -79,7 +79,7 @@ pub fn plan_presc_full(presc: &PresC, enc: &Encoding, opts: &OptFlags) -> PlanRe
 pub(crate) fn lower_presc(
     presc: &PresC,
     enc: &Encoding,
-    lopts: LowerOpts,
+    lopts: PresLowerOpts,
     par: Parallelism,
 ) -> PlanResult<StubPlans> {
     let n = presc.stubs.len();
@@ -150,10 +150,10 @@ pub(crate) fn lower_presc(
 pub(crate) fn lower_stub(
     presc: &PresC,
     enc: &Encoding,
-    lopts: LowerOpts,
+    lopts: PresLowerOpts,
     stub: &Stub,
 ) -> PlanResult<(StubPlan, BTreeMap<String, PlanNode>)> {
-    let mut lw = Lowerer {
+    let mut lw = PresLowerer {
         presc,
         enc,
         lopts,
@@ -174,15 +174,15 @@ pub(crate) fn lower_stub(
     ))
 }
 
-struct Lowerer<'a> {
+struct PresLowerer<'a> {
     presc: &'a PresC,
     enc: &'a Encoding,
-    lopts: LowerOpts,
+    lopts: PresLowerOpts,
     outlines: BTreeMap<String, PlanNode>,
     in_progress: Vec<(PresId, String)>,
 }
 
-impl<'a> Lowerer<'a> {
+impl<'a> PresLowerer<'a> {
     fn lower_message(&mut self, msg: &flick_pres::MessagePres) -> PlanResult<MsgPlan> {
         let mut slots = Vec::new();
         for slot in &msg.slots {
@@ -608,7 +608,7 @@ mod tests {
         let aoi = flick_frontend_corba::parse_str("w.idl", &idl);
         let mut d = Diagnostics::new();
         let p = flick_presgen::corba_c(&aoi, "Wide", Side::Client, &mut d).expect("presentation");
-        let lopts = LowerOpts { param_mgmt: true };
+        let lopts = PresLowerOpts { param_mgmt: true };
         let seq = lower_presc(&p, &Encoding::xdr(), lopts, Parallelism::Sequential).unwrap();
         for threads in [2, 3, 8] {
             let par =

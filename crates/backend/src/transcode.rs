@@ -38,7 +38,7 @@ use crate::encoding::{Encoding, WirePrim};
 use crate::layout::{Packed, PackedItem};
 use crate::mir::{PlanNode, StubPlans};
 use crate::passes::{CoalesceMemcpy, DeadSlot, FormChunks, InlineMarshal, MirPass, PassCx};
-use crate::plan::{lower_presc, LowerOpts, Parallelism};
+use crate::plan::{lower_presc, Parallelism, PresLowerOpts};
 use crate::verify::verify;
 
 /// One side of an encoding pair: an encoding and the endpoint MIR
@@ -105,7 +105,7 @@ fn side(presc: &PresC, enc: &Encoding) -> Result<Side, String> {
         ));
     }
     let at = |e: String| format!("transcode ({}): {e}", enc.name);
-    let lopts = LowerOpts { param_mgmt: false };
+    let lopts = PresLowerOpts { param_mgmt: false };
     let mut mir = lower_presc(presc, enc, lopts, Parallelism::Sequential).map_err(at)?;
     let cx = PassCx { presc, enc };
     let passes: [&dyn MirPass; 4] = [&DeadSlot, &FormChunks, &CoalesceMemcpy, &InlineMarshal];

@@ -64,7 +64,7 @@ pub static BRIDGE_OPS: &[BridgeOp] = &[
     },
 ];
 
-/// Rewrites the `send_ints` request body xdr → cdr-le (fused when the plan is).
+/// Rewrites the `send_ints` request body xdr → cdr-le.
 pub fn transcode_send_ints_request(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
@@ -87,7 +87,7 @@ pub fn transcode_send_ints_reply(src: &[u8], buf: &mut MarshalBuf) -> Result<(),
     Ok(())
 }
 
-/// Slot-wise `send_ints` request rewrite (the fuse-transcode ablation path).
+/// Rewrites the `send_ints` request body xdr → cdr-le slot by slot (the fuse-transcode ablation path).
 pub fn transcode_send_ints_request_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
@@ -107,7 +107,7 @@ pub fn transcode_send_ints_request_naive(src: &[u8], buf: &mut MarshalBuf) -> Re
     Ok(())
 }
 
-/// Slot-wise `send_ints` reply rewrite (the fuse-transcode ablation path).
+/// Rewrites the `send_ints` reply body cdr-le → xdr slot by slot (the fuse-transcode ablation path).
 pub fn transcode_send_ints_reply_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let _ = (src, buf);
     Ok(())
@@ -136,7 +136,7 @@ pub fn transcode_send_ints_reply_rev(src: &[u8], buf: &mut MarshalBuf) -> Result
     Ok(())
 }
 
-/// Rewrites the `send_rects` request body xdr → cdr-le (fused when the plan is).
+/// Rewrites the `send_rects` request body xdr → cdr-le.
 pub fn transcode_send_rects_request(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
@@ -161,7 +161,7 @@ pub fn transcode_send_rects_reply(src: &[u8], buf: &mut MarshalBuf) -> Result<()
     Ok(())
 }
 
-/// Slot-wise `send_rects` request rewrite (the fuse-transcode ablation path).
+/// Rewrites the `send_rects` request body xdr → cdr-le slot by slot (the fuse-transcode ablation path).
 pub fn transcode_send_rects_request_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
@@ -180,7 +180,7 @@ pub fn transcode_send_rects_request_naive(src: &[u8], buf: &mut MarshalBuf) -> R
     Ok(())
 }
 
-/// Slot-wise `send_rects` reply rewrite (the fuse-transcode ablation path).
+/// Rewrites the `send_rects` reply body cdr-le → xdr slot by slot (the fuse-transcode ablation path).
 pub fn transcode_send_rects_reply_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let _ = (src, buf);
     Ok(())
@@ -211,7 +211,7 @@ pub fn transcode_send_rects_reply_rev(src: &[u8], buf: &mut MarshalBuf) -> Resul
     Ok(())
 }
 
-/// Rewrites the `send_dirents` request body xdr → cdr-le (fused when the plan is).
+/// Rewrites the `send_dirents` request body xdr → cdr-le.
 pub fn transcode_send_dirents_request(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
@@ -245,7 +245,7 @@ pub fn transcode_send_dirents_reply(src: &[u8], buf: &mut MarshalBuf) -> Result<
     Ok(())
 }
 
-/// Slot-wise `send_dirents` request rewrite (the fuse-transcode ablation path).
+/// Rewrites the `send_dirents` request body xdr → cdr-le slot by slot (the fuse-transcode ablation path).
 pub fn transcode_send_dirents_request_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
@@ -276,7 +276,7 @@ pub fn transcode_send_dirents_request_naive(src: &[u8], buf: &mut MarshalBuf) ->
     Ok(())
 }
 
-/// Slot-wise `send_dirents` reply rewrite (the fuse-transcode ablation path).
+/// Rewrites the `send_dirents` reply body cdr-le → xdr slot by slot (the fuse-transcode ablation path).
 pub fn transcode_send_dirents_reply_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let _ = (src, buf);
     Ok(())
@@ -316,7 +316,7 @@ pub fn transcode_send_dirents_reply_rev(src: &[u8], buf: &mut MarshalBuf) -> Res
     Ok(())
 }
 
-/// Rewrites the `echo_stat` request body xdr → cdr-le (fused when the plan is).
+/// Rewrites the `echo_stat` request body xdr → cdr-le.
 pub fn transcode_echo_stat_request(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
@@ -346,7 +346,7 @@ pub fn transcode_echo_stat_reply(src: &[u8], buf: &mut MarshalBuf) -> Result<(),
     Ok(())
 }
 
-/// Slot-wise `echo_stat` request rewrite (the fuse-transcode ablation path).
+/// Rewrites the `echo_stat` request body xdr → cdr-le slot by slot (the fuse-transcode ablation path).
 pub fn transcode_echo_stat_request_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
@@ -364,7 +364,7 @@ pub fn transcode_echo_stat_request_naive(src: &[u8], buf: &mut MarshalBuf) -> Re
     Ok(())
 }
 
-/// Slot-wise `echo_stat` reply rewrite (the fuse-transcode ablation path).
+/// Rewrites the `echo_stat` reply body cdr-le → xdr slot by slot (the fuse-transcode ablation path).
 pub fn transcode_echo_stat_reply_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;

@@ -64,7 +64,7 @@ pub static BRIDGE_OPS: &[BridgeOp] = &[
     },
 ];
 
-/// Rewrites the `put_samples` request body xdr → cdr-le (fused when the plan is).
+/// Rewrites the `put_samples` request body xdr → cdr-le.
 pub fn transcode_put_samples_request(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
@@ -127,7 +127,7 @@ pub fn transcode_put_samples_reply(src: &[u8], buf: &mut MarshalBuf) -> Result<(
     Ok(())
 }
 
-/// Slot-wise `put_samples` request rewrite (the fuse-transcode ablation path).
+/// Rewrites the `put_samples` request body xdr → cdr-le slot by slot (the fuse-transcode ablation path).
 pub fn transcode_put_samples_request_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
@@ -184,7 +184,7 @@ pub fn transcode_put_samples_request_naive(src: &[u8], buf: &mut MarshalBuf) -> 
     Ok(())
 }
 
-/// Slot-wise `put_samples` reply rewrite (the fuse-transcode ablation path).
+/// Rewrites the `put_samples` reply body cdr-le → xdr slot by slot (the fuse-transcode ablation path).
 pub fn transcode_put_samples_reply_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let _ = (src, buf);
     Ok(())
@@ -253,7 +253,7 @@ pub fn transcode_put_samples_reply_rev(src: &[u8], buf: &mut MarshalBuf) -> Resu
     Ok(())
 }
 
-/// Rewrites the `put_grid` request body xdr → cdr-le (fused when the plan is).
+/// Rewrites the `put_grid` request body xdr → cdr-le.
 pub fn transcode_put_grid_request(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
@@ -273,7 +273,7 @@ pub fn transcode_put_grid_reply(src: &[u8], buf: &mut MarshalBuf) -> Result<(), 
     Ok(())
 }
 
-/// Slot-wise `put_grid` request rewrite (the fuse-transcode ablation path).
+/// Rewrites the `put_grid` request body xdr → cdr-le slot by slot (the fuse-transcode ablation path).
 pub fn transcode_put_grid_request_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
@@ -287,7 +287,7 @@ pub fn transcode_put_grid_request_naive(src: &[u8], buf: &mut MarshalBuf) -> Res
     Ok(())
 }
 
-/// Slot-wise `put_grid` reply rewrite (the fuse-transcode ablation path).
+/// Rewrites the `put_grid` reply body cdr-le → xdr slot by slot (the fuse-transcode ablation path).
 pub fn transcode_put_grid_reply_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let _ = (src, buf);
     Ok(())
@@ -313,7 +313,7 @@ pub fn transcode_put_grid_reply_rev(src: &[u8], buf: &mut MarshalBuf) -> Result<
     Ok(())
 }
 
-/// Rewrites the `tally` request body xdr → cdr-le (fused when the plan is).
+/// Rewrites the `tally` request body xdr → cdr-le.
 pub fn transcode_tally_request(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
@@ -360,7 +360,7 @@ pub fn transcode_tally_reply(src: &[u8], buf: &mut MarshalBuf) -> Result<(), Dec
     Ok(())
 }
 
-/// Slot-wise `tally` request rewrite (the fuse-transcode ablation path).
+/// Rewrites the `tally` request body xdr → cdr-le slot by slot (the fuse-transcode ablation path).
 pub fn transcode_tally_request_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
@@ -395,7 +395,7 @@ pub fn transcode_tally_request_naive(src: &[u8], buf: &mut MarshalBuf) -> Result
     Ok(())
 }
 
-/// Slot-wise `tally` reply rewrite (the fuse-transcode ablation path).
+/// Rewrites the `tally` reply body cdr-le → xdr slot by slot (the fuse-transcode ablation path).
 pub fn transcode_tally_reply_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
@@ -454,7 +454,7 @@ pub fn transcode_tally_reply_rev(src: &[u8], buf: &mut MarshalBuf) -> Result<(),
     Ok(())
 }
 
-/// Rewrites the `nudge` request body xdr → cdr-le (fused when the plan is).
+/// Rewrites the `nudge` request body xdr → cdr-le.
 pub fn transcode_nudge_request(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
@@ -475,7 +475,7 @@ pub fn transcode_nudge_reply(src: &[u8], buf: &mut MarshalBuf) -> Result<(), Dec
     Ok(())
 }
 
-/// Slot-wise `nudge` request rewrite (the fuse-transcode ablation path).
+/// Rewrites the `nudge` request body xdr → cdr-le slot by slot (the fuse-transcode ablation path).
 pub fn transcode_nudge_request_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let mut _reader = MsgReader::new(src);
     let r = &mut _reader;
@@ -490,7 +490,7 @@ pub fn transcode_nudge_request_naive(src: &[u8], buf: &mut MarshalBuf) -> Result
     Ok(())
 }
 
-/// Slot-wise `nudge` reply rewrite (the fuse-transcode ablation path).
+/// Rewrites the `nudge` reply body cdr-le → xdr slot by slot (the fuse-transcode ablation path).
 pub fn transcode_nudge_reply_naive(src: &[u8], buf: &mut MarshalBuf) -> Result<(), DecodeError> {
     let _ = (src, buf);
     Ok(())

@@ -5,24 +5,21 @@
 //! re-encode the presented values with B's generated encoder — a
 //! converter is two marshalers over one type description
 //! (Fisher/Pucella/Reppy).  These functions are that composition for
-//! the checked-in gateway modules.  They are written against the
-//! endpoint stubs only, so they check the gateway lowering
-//! independently of its own fused and `_naive` twins.
-//!
-//! One presented-value difference is known and deliberate: a union
-//! arm with several labels (`Shade`'s `case 1: case 2:`) presents as
-//! one variant, so the composition re-encodes the arm's first label,
-//! while the gateway forwards the label it read.
+//! the checked-in `Bench` gateway (`tests/bridge.rs` composes the
+//! `Varied` one the same way).  They are written against the endpoint
+//! stubs only, so they check the gateway lowering independently of its
+//! own fused and `_naive` twins.
 
 use flick_runtime::{DecodeError, MarshalBuf, MsgReader};
 
-use crate::generated::{iiop_bench as ib, onc_bench as ob, varied_iiop as vi, varied_onc as vo};
+use crate::generated::{iiop_bench as ib, onc_bench as ob};
 
 /// One composed leg: `Ok` with the re-encoded body in `out`, or the
 /// decoder's rejection.
 pub type Composed = Result<(), DecodeError>;
 
-fn unknown() -> Composed {
+/// The rejection of a procedure the interface does not define.
+pub fn unknown() -> Composed {
     Err(DecodeError::BadHeader("unknown procedure"))
 }
 
@@ -102,72 +99,6 @@ pub fn bench_reply(proc_num: u32, body: &[u8], out: &mut MarshalBuf) -> Composed
             ob::encode_send_dirents_reply(out);
         }
         4 => ob::encode_echo_stat_reply(out, &stat_to_xdr(&ib::decode_echo_stat_reply(r)?.0)),
-        _ => return unknown(),
-    }
-    Ok(())
-}
-
-fn shade_to_cdr(s: &vo::Shade) -> vi::Shade {
-    match *s {
-        vo::Shade::Warm(v) => vi::Shade::Warm(v),
-        vo::Shade::Cool(v) => vi::Shade::Cool(v),
-        vo::Shade::Other(d, v) => vi::Shade::Other(d, v),
-    }
-}
-
-/// `Varied` request leg, ONC/XDR → IIOP/CDR (little-endian):
-/// `varied_iiop::encode_*_request(varied_onc::decode_*_request(body))`.
-///
-/// # Errors
-/// The XDR decoder's rejection of `body`.
-pub fn varied_request(proc_num: u32, body: &[u8], out: &mut MarshalBuf) -> Composed {
-    let r = &mut MsgReader::new(body);
-    match proc_num {
-        1 => {
-            let (samples,) = vo::decode_put_samples_request(r)?;
-            let samples: Vec<vi::Sample> = samples
-                .iter()
-                .map(|s| vi::Sample {
-                    color: s.color,
-                    shade: shade_to_cdr(&s.shade),
-                    weight: s.weight,
-                    precise: s.precise,
-                    label: s.label.clone(),
-                })
-                .collect();
-            vi::encode_put_samples_request(out, &samples);
-        }
-        2 => vi::encode_put_grid_request(out, &vo::decode_put_grid_request(r)?.0),
-        3 => {
-            let (shade, strict) = vo::decode_tally_request(r)?;
-            vi::encode_tally_request(out, &shade_to_cdr(&shade), strict);
-        }
-        4 => {
-            let (dx, dy) = vo::decode_nudge_request(r)?;
-            vi::encode_nudge_request(out, dx, dy);
-        }
-        _ => return unknown(),
-    }
-    Ok(())
-}
-
-/// `Varied` reply leg, IIOP/CDR → ONC/XDR (the oneway `nudge` has no
-/// reply).
-///
-/// # Errors
-/// The CDR decoder's rejection of `body`.
-pub fn varied_reply(proc_num: u32, body: &[u8], out: &mut MarshalBuf) -> Composed {
-    let r = &mut MsgReader::new(body);
-    match proc_num {
-        1 => {
-            vi::decode_put_samples_reply(r)?;
-            vo::encode_put_samples_reply(out);
-        }
-        2 => {
-            vi::decode_put_grid_reply(r)?;
-            vo::encode_put_grid_reply(out);
-        }
-        3 => vo::encode_tally_reply(out, vi::decode_tally_reply(r)?.0),
         _ => return unknown(),
     }
     Ok(())

@@ -9,9 +9,14 @@
 //! agree with the endpoint composition (decode with one generated stub
 //! module, re-encode with the other, see `flick_bench::oracle`), which
 //! checks the gateway lowering independently of its own twins.
+//!
+//! One presented-value difference is known and deliberate: a union arm
+//! with several labels (`Shade`'s `case 1: case 2:`) presents as one
+//! variant, so the composition re-encodes the arm's first label while
+//! the gateway forwards the label it read.
 
 use flick_bench::generated::{
-    iiop_bench, onc_bench, transcode_bench, transcode_varied, varied_onc,
+    iiop_bench, onc_bench, transcode_bench, transcode_varied, varied_iiop, varied_onc,
 };
 use flick_bench::{data, oracle};
 use flick_runtime::bridge::{Bridge, BridgeOutcome};
@@ -328,6 +333,66 @@ fn bench_gateway_matches_the_endpoint_composition() {
     );
 }
 
+fn shade_to_cdr(s: &varied_onc::Shade) -> varied_iiop::Shade {
+    match *s {
+        varied_onc::Shade::Warm(v) => varied_iiop::Shade::Warm(v),
+        varied_onc::Shade::Cool(v) => varied_iiop::Shade::Cool(v),
+        varied_onc::Shade::Other(d, v) => varied_iiop::Shade::Other(d, v),
+    }
+}
+
+/// `Varied` request leg, ONC/XDR → IIOP/CDR (little-endian):
+/// `varied_iiop::encode_*_request(varied_onc::decode_*_request(body))`.
+fn varied_request(proc_num: u32, body: &[u8], out: &mut MarshalBuf) -> oracle::Composed {
+    let r = &mut MsgReader::new(body);
+    match proc_num {
+        1 => {
+            let (samples,) = varied_onc::decode_put_samples_request(r)?;
+            let samples: Vec<varied_iiop::Sample> = samples
+                .iter()
+                .map(|s| varied_iiop::Sample {
+                    color: s.color,
+                    shade: shade_to_cdr(&s.shade),
+                    weight: s.weight,
+                    precise: s.precise,
+                    label: s.label.clone(),
+                })
+                .collect();
+            varied_iiop::encode_put_samples_request(out, &samples);
+        }
+        2 => varied_iiop::encode_put_grid_request(out, &varied_onc::decode_put_grid_request(r)?.0),
+        3 => {
+            let (shade, strict) = varied_onc::decode_tally_request(r)?;
+            varied_iiop::encode_tally_request(out, &shade_to_cdr(&shade), strict);
+        }
+        4 => {
+            let (dx, dy) = varied_onc::decode_nudge_request(r)?;
+            varied_iiop::encode_nudge_request(out, dx, dy);
+        }
+        _ => return oracle::unknown(),
+    }
+    Ok(())
+}
+
+/// `Varied` reply leg, IIOP/CDR → ONC/XDR (the oneway `nudge` has no
+/// reply).
+fn varied_reply(proc_num: u32, body: &[u8], out: &mut MarshalBuf) -> oracle::Composed {
+    let r = &mut MsgReader::new(body);
+    match proc_num {
+        1 => {
+            varied_iiop::decode_put_samples_reply(r)?;
+            varied_onc::encode_put_samples_reply(out);
+        }
+        2 => {
+            varied_iiop::decode_put_grid_reply(r)?;
+            varied_onc::encode_put_grid_reply(out);
+        }
+        3 => varied_onc::encode_tally_reply(out, varied_iiop::decode_tally_reply(r)?.0),
+        _ => return oracle::unknown(),
+    }
+    Ok(())
+}
+
 /// One `Varied` sample per case the gateway must carry: every `Color`,
 /// every `Shade` arm (the default arm with several labels), and the
 /// float values a decode-then-re-encode could disturb — NaNs with
@@ -393,28 +458,25 @@ fn varied_gateway_matches_the_endpoint_composition() {
         } else {
             |p, s, d| transcode_varied::transcode_request_naive(p, s, d).map(|_| ())
         };
-        check_leg("varied request", &requests, gateway, oracle::varied_request);
+        check_leg("varied request", &requests, gateway, varied_request);
     }
 
     let replies = vec![
         (1, Vec::new()),
         (2, Vec::new()),
-        (
-            3,
-            body(|b| flick_bench::generated::varied_iiop::encode_tally_reply(b, -5)),
-        ),
+        (3, body(|b| varied_iiop::encode_tally_reply(b, -5))),
     ];
     check_leg(
         "varied reply",
         &replies,
         transcode_varied::transcode_reply,
-        oracle::varied_reply,
+        varied_reply,
     );
     check_leg(
         "varied reply (naive)",
         &replies,
         transcode_varied::transcode_reply_naive,
-        oracle::varied_reply,
+        varied_reply,
     );
 
     // `Shade`'s second `cool` label: the gateway forwards label 2,
@@ -424,7 +486,7 @@ fn varied_gateway_matches_the_endpoint_composition() {
     two[..4].copy_from_slice(&2u32.to_be_bytes());
     let (mut via_gateway, mut via_stubs) = (MarshalBuf::new(), MarshalBuf::new());
     transcode_varied::transcode_request(3, &two, &mut via_gateway).expect("label 2 is valid");
-    oracle::varied_request(3, &two, &mut via_stubs).expect("label 2 is valid");
+    varied_request(3, &two, &mut via_stubs).expect("label 2 is valid");
     let mut expect = via_stubs.as_slice().to_vec();
     expect[..4].copy_from_slice(&2u32.to_le_bytes());
     assert_eq!(via_gateway.as_slice(), &expect[..]);
