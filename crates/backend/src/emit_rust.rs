@@ -151,6 +151,55 @@ pub(crate) fn get_prim_expr(prim: WirePrim) -> String {
     }
 }
 
+/// The statement writing `vexpr` in wire form `prim` at offset
+/// `off_expr` of chunk writer `cvar`.
+pub(crate) fn chunk_put_call(prim: WirePrim, off_expr: &str, vexpr: &str, cvar: &str) -> String {
+    let suffix = match prim.order {
+        Order::Big => "be",
+        Order::Little => "le",
+    };
+    if prim.float {
+        return match prim.size {
+            4 => format!("{cvar}.put_u32_{suffix}_at({off_expr}, ({vexpr}).to_bits());"),
+            _ => format!("{cvar}.put_u64_{suffix}_at({off_expr}, ({vexpr}).to_bits());"),
+        };
+    }
+    match (prim.slot, prim.size, prim.signed) {
+        (1, _, _) => format!("{cvar}.put_u8_at({off_expr}, ({vexpr}) as u8);"),
+        (2, _, _) => format!("{cvar}.put_u16_{suffix}_at({off_expr}, ({vexpr}) as u16);"),
+        (4, s, true) if s < 4 => {
+            format!("{cvar}.put_u32_{suffix}_at({off_expr}, ({vexpr}) as i32 as u32);")
+        }
+        (4, _, _) => format!("{cvar}.put_u32_{suffix}_at({off_expr}, ({vexpr}) as u32);"),
+        _ => format!("{cvar}.put_u64_{suffix}_at({off_expr}, ({vexpr}) as u64);"),
+    }
+}
+
+/// The expression reading one value in wire form `prim` at offset
+/// `off_expr` of chunk reader `cvar`.
+pub(crate) fn chunk_get_expr(prim: WirePrim, off_expr: &str, cvar: &str) -> String {
+    let suffix = match prim.order {
+        Order::Big => "be",
+        Order::Little => "le",
+    };
+    if prim.float {
+        return match prim.size {
+            4 => format!("f32::from_bits({cvar}.get_u32_{suffix}_at({off_expr}))"),
+            _ => format!("f64::from_bits({cvar}.get_u64_{suffix}_at({off_expr}))"),
+        };
+    }
+    let ty = prim_rust_ty(prim);
+    match prim.slot {
+        1 => format!("{cvar}.get_u8_at({off_expr}) as {ty}"),
+        2 => format!("{cvar}.get_u16_{suffix}_at({off_expr}) as {ty}"),
+        4 if prim.size < 4 && prim.signed => {
+            format!("{cvar}.get_u32_{suffix}_at({off_expr}) as i32 as {ty}")
+        }
+        4 => format!("{cvar}.get_u32_{suffix}_at({off_expr}) as {ty}"),
+        _ => format!("{cvar}.get_u64_{suffix}_at({off_expr}) as {ty}"),
+    }
+}
+
 /// The statement writing the count prefix `vexpr_len` under `enc`.
 pub(crate) fn len_prefix_call(enc: &Encoding, vexpr_len: &str) -> String {
     let suffix = match enc.len_prefix().order {
@@ -866,28 +915,6 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    fn chunk_put_call(prim: WirePrim, off_expr: &str, vexpr: &str, cvar: &str) -> String {
-        let suffix = match prim.order {
-            Order::Big => "be",
-            Order::Little => "le",
-        };
-        if prim.float {
-            return match prim.size {
-                4 => format!("{cvar}.put_u32_{suffix}_at({off_expr}, ({vexpr}).to_bits());"),
-                _ => format!("{cvar}.put_u64_{suffix}_at({off_expr}, ({vexpr}).to_bits());"),
-            };
-        }
-        match (prim.slot, prim.size, prim.signed) {
-            (1, _, _) => format!("{cvar}.put_u8_at({off_expr}, ({vexpr}) as u8);"),
-            (2, _, _) => format!("{cvar}.put_u16_{suffix}_at({off_expr}, ({vexpr}) as u16);"),
-            (4, s, true) if s < 4 => {
-                format!("{cvar}.put_u32_{suffix}_at({off_expr}, ({vexpr}) as i32 as u32);")
-            }
-            (4, _, _) => format!("{cvar}.put_u32_{suffix}_at({off_expr}, ({vexpr}) as u32);"),
-            _ => format!("{cvar}.put_u64_{suffix}_at({off_expr}, ({vexpr}) as u64);"),
-        }
-    }
-
     fn path_expr(base: &str, path: &ValPath) -> String {
         match path {
             ValPath::Root => base.to_string(),
@@ -948,10 +975,7 @@ impl<'a> Emitter<'a> {
                     match item {
                         crate::layout::PackedItem::Prim { offset, prim, path } => {
                             let e = Self::path_expr(vexpr, &path);
-                            self.line(
-                                d,
-                                &Self::chunk_put_call(prim, &offset.to_string(), &e, &cvar),
-                            );
+                            self.line(d, &chunk_put_call(prim, &offset.to_string(), &e, &cvar));
                         }
                         crate::layout::PackedItem::PrimRun {
                             offset,
@@ -973,7 +997,7 @@ impl<'a> Emitter<'a> {
                                 self.line(d, &format!("for {i} in 0..{count}usize {{"));
                                 let elem = format!("{e}[{i}]");
                                 let off = format!("{offset} + {i} * {}", prim.slot);
-                                self.line(d + 1, &Self::chunk_put_call(prim, &off, &elem, &cvar));
+                                self.line(d + 1, &chunk_put_call(prim, &off, &elem, &cvar));
                                 self.line(d, "}");
                             }
                         }
@@ -1213,29 +1237,6 @@ impl<'a> Emitter<'a> {
     fn align_dec(&mut self, align: u8, depth: usize) {
         if !self.be.encoding.widen_to_word && align > 1 {
             self.line(depth, &format!("r.align_from(_base, {align})?;"));
-        }
-    }
-
-    fn chunk_get_expr(prim: WirePrim, off_expr: &str, cvar: &str) -> String {
-        let suffix = match prim.order {
-            Order::Big => "be",
-            Order::Little => "le",
-        };
-        if prim.float {
-            return match prim.size {
-                4 => format!("f32::from_bits({cvar}.get_u32_{suffix}_at({off_expr}))"),
-                _ => format!("f64::from_bits({cvar}.get_u64_{suffix}_at({off_expr}))"),
-            };
-        }
-        let ty = prim_rust_ty(prim);
-        match prim.slot {
-            1 => format!("{cvar}.get_u8_at({off_expr}) as {ty}"),
-            2 => format!("{cvar}.get_u16_{suffix}_at({off_expr}) as {ty}"),
-            4 if prim.size < 4 && prim.signed => {
-                format!("{cvar}.get_u32_{suffix}_at({off_expr}) as i32 as {ty}")
-            }
-            4 => format!("{cvar}.get_u32_{suffix}_at({off_expr}) as {ty}"),
-            _ => format!("{cvar}.get_u64_{suffix}_at({off_expr}) as {ty}"),
         }
     }
 
@@ -1536,12 +1537,12 @@ impl<'a> Emitter<'a> {
             PresNode::Direct { mint, .. } => {
                 let prim = self.be.encoding.prim(&self.presc.mint, mint);
                 let off = cur.place_prim(prim);
-                Self::chunk_get_expr(prim, &off.to_string(), cvar)
+                chunk_get_expr(prim, &off.to_string(), cvar)
             }
             PresNode::EnumMap { .. } => {
                 let prim = self.be.encoding.prim_for_size(4, false);
                 let off = cur.place_prim(prim);
-                Self::chunk_get_expr(prim, &off.to_string(), cvar)
+                chunk_get_expr(prim, &off.to_string(), cvar)
             }
             PresNode::FixedArray { elem, len, .. } => {
                 if let PresNode::Direct { mint, .. } = self.presc.pres.get(elem) {
@@ -1556,11 +1557,8 @@ impl<'a> Emitter<'a> {
                                 z = zero_of(ty)
                             ));
                         }
-                        let get = Self::chunk_get_expr(
-                            prim,
-                            &format!("{off} + _i * {}", prim.slot),
-                            cvar,
-                        );
+                        let get =
+                            chunk_get_expr(prim, &format!("{off} + _i * {}", prim.slot), cvar);
                         return Ok(format!(
                             "{{ let mut _a = [{z}; {len}]; for _i in 0..{len}usize {{ _a[_i] = {get}; }} _a }}",
                             z = zero_of(ty)

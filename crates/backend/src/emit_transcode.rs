@@ -11,8 +11,8 @@
 //! (`crate::emit_rust`): every value is read as the source decoder
 //! reads it (alignment, bound, NUL, UTF-8, discriminator and flag
 //! checks, at the same stream positions) and written as the target
-//! encoder writes it.  Fused steps become `put_bytes(r.bytes(n)?)`
-//! block moves.  Unfused rewrites — the `_naive` twins, and every
+//! encoder writes it.  A fused packed pair moves through one chunk per
+//! side with block copies where the layouts agree.  Unfused rewrites — the `_naive` twins, and every
 //! rewrite of a module built with `fuse-transcode` off — never
 //! block-copy and materialize strings and scalar sequences, as
 //! decode-then-re-encode would.
@@ -20,8 +20,8 @@
 use std::fmt::Write;
 
 use crate::emit_rust::{
-    bound_check, get_prim_expr, len_prefix_call, len_prefix_expr, prim_rust_ty, put_prim_call,
-    string_read, string_write, trie_node, WordSwitch, WORD_AT_FN,
+    bound_check, chunk_get_expr, chunk_put_call, get_prim_expr, len_prefix_call, len_prefix_expr,
+    prim_rust_ty, put_prim_call, string_read, string_write, trie_node, WordSwitch, WORD_AT_FN,
 };
 use crate::encoding::{Order, WirePrim};
 use crate::mir::{MsgPlan, PlanNode, StubPlan};
@@ -279,7 +279,11 @@ impl<'a> Emit<'a> {
                 self.dst_align(dir, dl.align.min(8) as u8);
                 let steps = packed_steps(sl, dl, fused)?;
                 check_steps(&steps, fused)?;
-                self.steps(&steps, dir);
+                if fused {
+                    self.chunked(&steps, sl.size, dl.size);
+                } else {
+                    self.steps(&steps, dir);
+                }
             }
             (
                 PlanNode::String {
@@ -391,9 +395,57 @@ impl<'a> Emit<'a> {
         self.line(&put_prim_call(dp, &v));
     }
 
+    /// A fused packed pair: one chunk per side — one truncation check
+    /// and one space decision, as the endpoint stubs make them — with
+    /// constant-offset reswizzles and block copies between.  The chunk
+    /// reader steps over source pads; the chunk writer zero-fills
+    /// target pads.
+    fn chunked(&mut self, steps: &[Step], src_size: u64, dst_size: u64) {
+        let (c, w) = (self.fresh("c"), self.fresh("w"));
+        self.line(&format!(
+            "let {c} = r.chunk({src_size})?; // one truncation check"
+        ));
+        self.line(&format!("let mut {w} = buf.chunk({dst_size});"));
+        for step in steps {
+            match step {
+                Step::Each(run) => {
+                    let v = self.fresh("v");
+                    let (so, dof) = run.at;
+                    let (get, put) = if run.count == 1 {
+                        (so.to_string(), dof.to_string())
+                    } else {
+                        let i = self.fresh("i");
+                        self.open(&format!("for {i} in 0..{}usize {{", run.count));
+                        (
+                            format!("{so} + {i} * {}", run.src.slot),
+                            format!("{dof} + {i} * {}", run.dst.slot),
+                        )
+                    };
+                    self.line(&format!("let {v} = {};", chunk_get_expr(run.src, &get, &c)));
+                    self.line(&chunk_put_call(run.dst, &put, &v, &w));
+                    if run.count > 1 {
+                        self.close("}");
+                    }
+                }
+                Step::Copy(runs) => {
+                    let ((so, dof), bytes) =
+                        (runs[0].at, runs.iter().map(|r| r.bytes()).sum::<u64>());
+                    let values: u64 = runs.iter().map(|r| r.count).sum();
+                    self.line(&format!(
+                        "{w}.put_bytes_at({dof}, {c}.bytes_at({so}, {bytes})); // fused: {values} values block-copied"
+                    ));
+                }
+                Step::Pad { .. } => {}
+            }
+        }
+    }
+
+    /// An unfused packed pair, value by value on the stream (the pair
+    /// check has already rejected any block copy here).
     fn steps(&mut self, steps: &[Step], dir: Dir<'a>) {
         for step in steps {
             match step {
+                Step::Copy(_) => unreachable!("check_steps rejects blocks in unfused rewrites"),
                 Step::Each(run) => {
                     // Every slot is a multiple of its alignment, so
                     // after the first value the run stays aligned.
@@ -407,15 +459,6 @@ impl<'a> Emit<'a> {
                         self.value(run.src, run.dst, dir, false, false);
                         self.close("}");
                     }
-                }
-                Step::Copy(runs) => {
-                    self.src_align(dir, runs[0].src.align);
-                    self.dst_align(dir, runs[0].dst.align);
-                    let bytes: u64 = runs.iter().map(|r| r.bytes()).sum();
-                    let values: u64 = runs.iter().map(|r| r.count).sum();
-                    self.line(&format!(
-                        "buf.put_bytes(r.bytes({bytes}usize)?); // fused: {values} values block-copied"
-                    ));
                 }
                 Step::Pad { src, dst } => {
                     if *src > 0 {
@@ -754,7 +797,7 @@ mod tests {
         // XDR→CDR-LE disagrees on i32 order, so the stat's longs stay
         // value-wise — but the packed 16-byte tag block-copies.
         assert!(body(&fused, "transcode_echo_stat_request")
-            .contains("buf.put_bytes(r.bytes(16usize)?); // fused"));
+            .contains(".bytes_at(120, 16)); // fused: 16 values block-copied"));
         // The naive twins never fuse, and the ablated module fuses
         // nowhere, not even in its primary functions.
         assert!(!body(&fused, "transcode_echo_stat_request_naive").contains("// fused"));
@@ -791,18 +834,22 @@ mod tests {
     fn packed_chunks_align_like_the_endpoints() {
         // A CDR chunk starts at its own alignment, as the endpoint
         // encoder places it — not at its first member's: after the
-        // leading long, `M` (a char, then a double) starts at offset 8.
+        // leading long, `M` (a char, then a double) starts at offset 8,
+        // fused (one chunk) or not (value by value).
         let idl = "struct M { char c; double d; }; interface T { void f(in long lead, in M m); };";
         let aoi = flick_frontend_corba::parse_str("t.idl", idl);
         let mut d = Diagnostics::new();
         let presc = flick_presgen::corba_c(&aoi, "T", Side::Server, &mut d).expect("presentation");
-        let s = compile_transcode(&presc, &Encoding::xdr(), &Encoding::cdr_le(), true).unwrap();
-        assert!(
-            body(&s, "transcode_f_request").contains(
-                "buf.put_u32_le((_v1) as u32);\n    buf.align_from(_db, 8);\n    let _v2 = r.get_u32_be()? as u8;"
-            ),
-            "{s}"
-        );
+        for (fused, next) in [
+            (true, "let _c2 = r.chunk(12)?;"),
+            (false, "let _v2 = r.get_u32_be()? as u8;"),
+        ] {
+            let s =
+                compile_transcode(&presc, &Encoding::xdr(), &Encoding::cdr_le(), fused).unwrap();
+            let aligned =
+                format!("buf.put_u32_le((_v1) as u32);\n    buf.align_from(_db, 8);\n    {next}");
+            assert!(body(&s, "transcode_f_request").contains(&aligned), "{s}");
+        }
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! description: [`plan`] lowers every operation once per encoding with
 //! the endpoint lowering and the endpoint passes that fix the wire
 //! layout (`dead-slot`, `form-chunks`, `coalesce-memcpy`,
-//! `inline-marshal`), and the MIR verifier checks each side after every
-//! pass.  The result is a [`TranscodePair`]: the source encoding's MIR
+//! `inline-marshal`), and the MIR verifier checks each side.  The result is a [`TranscodePair`]: the source encoding's MIR
 //! is the read side, the target's the write side, and both walk the
 //! same PRES slots in the same order.  The emitter
 //! (`crate::emit_transcode`) walks the two trees in lockstep, reading
@@ -30,7 +29,8 @@
 //!   value-wise so the obligation stays visible);
 //! * multi-byte runs fuse only when both sides use the same byte order;
 //! * padding is rewritten as zeros and never copied: pad bytes are
-//!   steps of their own, and a block never spans an alignment gap.
+//!   steps of their own, and a block's runs sit back to back on both
+//!   sides.
 
 use flick_pres::PresC;
 
@@ -111,9 +111,8 @@ fn side(presc: &PresC, enc: &Encoding) -> Result<Side, String> {
     let passes: [&dyn MirPass; 4] = [&DeadSlot, &FormChunks, &CoalesceMemcpy, &InlineMarshal];
     for pass in passes {
         pass.run(&mut mir, &cx).map_err(at)?;
-        verify(&mir, presc, enc)
-            .map_err(|e| at(format!("MIR verify after {}: {e}", pass.name())))?;
     }
+    verify(&mir, presc, enc).map_err(|e| at(format!("MIR verify: {e}")))?;
     Ok(Side {
         enc: enc.clone(),
         mir,
@@ -129,6 +128,8 @@ pub struct Run {
     pub dst: WirePrim,
     /// Number of values.
     pub count: u64,
+    /// Offsets of the first value in the source and target chunks.
+    pub at: (u64, u64),
 }
 
 impl Run {
@@ -136,6 +137,15 @@ impl Run {
     #[must_use]
     pub fn bytes(&self) -> u64 {
         self.count * u64::from(self.src.slot)
+    }
+
+    /// Offsets just past the run in the source and target chunks.
+    #[must_use]
+    pub fn end(&self) -> (u64, u64) {
+        (
+            self.at.0 + self.bytes(),
+            self.at.1 + self.count * u64::from(self.dst.slot),
+        )
     }
 }
 
@@ -193,10 +203,10 @@ fn segments(p: &Packed) -> Vec<(u64, WirePrim, u64, u64)> {
         .collect()
 }
 
-/// Pairs the values of two packings of one region in order.  With
-/// `fuse`, copyable values at contiguous offsets on both sides join one
-/// block; everything else crosses value by value, and each side's
-/// trailing run padding becomes a [`Step::Pad`].
+/// Pairs the values of two packings of one region in order, at their
+/// chunk offsets.  With `fuse`, copyable values back to back on both
+/// sides join one block; everything else crosses value by value, and
+/// each side's trailing run padding becomes a [`Step::Pad`].
 ///
 /// # Errors
 /// The two packings disagree on the values they hold.
@@ -204,8 +214,6 @@ pub fn packed_steps(src: &Packed, dst: &Packed, fuse: bool) -> Result<Vec<Step>,
     let (ss, ds) = (segments(src), segments(dst));
     let (mut si, mut di, mut s_done, mut d_done) = (0, 0, 0, 0);
     let mut steps: Vec<Step> = Vec::new();
-    // Offsets just past the open block on each side.
-    let mut block_end = None;
     while si < ss.len() && di < ds.len() {
         let (s_off, s_prim, s_count, s_pad) = ss[si];
         let (d_off, d_prim, d_count, d_pad) = ds[di];
@@ -213,27 +221,23 @@ pub fn packed_steps(src: &Packed, dst: &Packed, fuse: bool) -> Result<Vec<Step>,
             src: s_prim,
             dst: d_prim,
             count: (s_count - s_done).min(d_count - d_done),
+            at: (
+                s_off + s_done * u64::from(s_prim.slot),
+                d_off + d_done * u64::from(d_prim.slot),
+            ),
         };
         same_value(&run)?;
-        let at = (
-            s_off + s_done * u64::from(s_prim.slot),
-            d_off + d_done * u64::from(d_prim.slot),
-        );
+        let joins = |prev: &Run| prev.end() == run.at;
         if fuse && copyable(&run.src, &run.dst) {
             match steps.last_mut() {
-                Some(Step::Copy(runs))
-                    if block_end == Some(at)
-                        && run.src.align <= runs[0].src.align
-                        && run.dst.align <= runs[0].dst.align =>
-                {
-                    runs.push(run);
-                }
+                Some(Step::Copy(runs)) if runs.last().is_some_and(joins) => runs.push(run),
                 _ => steps.push(Step::Copy(vec![run])),
             }
-            block_end = Some((at.0 + run.bytes(), at.1 + run.bytes()));
         } else {
             match steps.last_mut() {
-                Some(Step::Each(r)) if (r.src, r.dst) == (run.src, run.dst) => r.count += run.count,
+                Some(Step::Each(r)) if (r.src, r.dst) == (run.src, run.dst) && joins(r) => {
+                    r.count += run.count;
+                }
                 _ => steps.push(Step::Each(run)),
             }
         }
@@ -260,10 +264,8 @@ pub fn packed_steps(src: &Packed, dst: &Packed, fuse: bool) -> Result<Vec<Step>,
 }
 
 /// The pair-agreement check: every block copies only runs whose two
-/// layouts agree byte for byte, and never across an alignment gap (its
-/// head carries the block's alignment; every later run must sit at an
-/// offset the head's alignment already guarantees).  Unfused rewrites
-/// hold no blocks at all.
+/// layouts agree byte for byte, back to back on both sides, so no pad
+/// byte is ever copied.  Unfused rewrites hold no blocks at all.
 ///
 /// # Errors
 /// Names the violated obligation.
@@ -276,8 +278,9 @@ pub fn check_steps(steps: &[Step], fused: bool) -> Result<(), String> {
                 if !fused {
                     return Err("block copy in an unfused rewrite".into());
                 }
-                let head = runs.first().ok_or("empty block copy")?;
-                let mut off = 0;
+                if runs.is_empty() {
+                    return Err("empty block copy".into());
+                }
                 for run in runs {
                     same_value(run)?;
                     if !copyable(&run.src, &run.dst) {
@@ -285,14 +288,9 @@ pub fn check_steps(steps: &[Step], fused: bool) -> Result<(), String> {
                             "block copies a widened, float, or byte-swapped run: {run:?}"
                         ));
                     }
-                    if run.src.align > head.src.align
-                        || run.dst.align > head.dst.align
-                        || off % u64::from(run.src.align.max(1)) != 0
-                        || off % u64::from(run.dst.align.max(1)) != 0
-                    {
-                        return Err(format!("block would copy alignment padding before {run:?}"));
-                    }
-                    off += run.bytes();
+                }
+                if let Some(w) = runs.windows(2).find(|w| w[0].end() != w[1].at) {
+                    return Err(format!("block would copy padding before {:?}", w[1]));
                 }
             }
         }
@@ -394,6 +392,7 @@ pub fn bulk(src: &Elems, dst: &Elems) -> Result<Option<Bulk>, String> {
             src: s,
             dst: d,
             count: 1,
+            at: (0, 0),
         };
         if !copyable(&s, &d) {
             return Ok(None);
@@ -417,7 +416,8 @@ pub fn bulk(src: &Elems, dst: &Elems) -> Result<Option<Bulk>, String> {
     let (sa, da) = (s.align.clamp(1, 8), d.align.clamp(1, 8));
     Ok(match steps.as_slice() {
         [Step::Copy(runs)]
-            if runs.iter().map(Run::bytes).sum::<u64>() == s.size
+            if runs[0].at == (0, 0)
+                && runs.last().map(Run::end) == Some((s.size, d.size))
                 && s.size == d.size
                 && s.size % sa == 0
                 && d.size % da == 0 =>
@@ -623,6 +623,7 @@ mod tests {
                 src: s,
                 dst: d,
                 count: 1,
+                at: r[0].at,
             };
         });
         assert!(e.contains("widened"), "{e}");

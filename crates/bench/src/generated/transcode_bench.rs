@@ -147,9 +147,11 @@ pub fn transcode_send_rects_request(src: &[u8], buf: &mut MarshalBuf) -> Result<
     buf.put_u32_le(_len1 as u32);
     for _i2 in 0.._len1 {
         buf.align_from(_db, 4);
-        for _i3 in 0..4usize {
-            let _v4 = r.get_u32_be()? as i32;
-            buf.put_u32_le((_v4) as u32);
+        let _c3 = r.chunk(16)?; // one truncation check
+        let mut _w4 = buf.chunk(16);
+        for _i6 in 0..4usize {
+            let _v5 = _c3.get_u32_be_at(0 + _i6 * 4) as i32;
+            _w4.put_u32_le_at(0 + _i6 * 4, (_v5) as u32);
         }
     }
     Ok(())
@@ -197,9 +199,11 @@ pub fn transcode_send_rects_request_rev(src: &[u8], buf: &mut MarshalBuf) -> Res
     buf.put_u32_be(_len1 as u32);
     for _i2 in 0.._len1 {
         r.align_from(_sb, 4)?;
-        for _i3 in 0..4usize {
-            let _v4 = r.get_u32_le()? as i32;
-            buf.put_u32_be((_v4) as u32);
+        let _c3 = r.chunk(16)?; // one truncation check
+        let mut _w4 = buf.chunk(16);
+        for _i6 in 0..4usize {
+            let _v5 = _c3.get_u32_le_at(0 + _i6 * 4) as i32;
+            _w4.put_u32_be_at(0 + _i6 * 4, (_v5) as u32);
         }
     }
     Ok(())
@@ -230,11 +234,13 @@ pub fn transcode_send_dirents_request(src: &[u8], buf: &mut MarshalBuf) -> Resul
         buf.put_bytes(_s5.as_bytes());
         buf.put_u8(0);
         buf.align_from(_db, 4);
-        for _i6 in 0..30usize {
-            let _v7 = r.get_u32_be()? as i32;
-            buf.put_u32_le((_v7) as u32);
+        let _c6 = r.chunk(136)?; // one truncation check
+        let mut _w7 = buf.chunk(136);
+        for _i9 in 0..30usize {
+            let _v8 = _c6.get_u32_be_at(0 + _i9 * 4) as i32;
+            _w7.put_u32_le_at(0 + _i9 * 4, (_v8) as u32);
         }
-        buf.put_bytes(r.bytes(16usize)?); // fused: 16 values block-copied
+        _w7.put_bytes_at(120, _c6.bytes_at(120, 16)); // fused: 16 values block-copied
     }
     Ok(())
 }
@@ -301,11 +307,13 @@ pub fn transcode_send_dirents_request_rev(src: &[u8], buf: &mut MarshalBuf) -> R
         buf.put_bytes(_s5.as_bytes());
         buf.align_to(4);
         r.align_from(_sb, 4)?;
-        for _i6 in 0..30usize {
-            let _v7 = r.get_u32_le()? as i32;
-            buf.put_u32_be((_v7) as u32);
+        let _c6 = r.chunk(136)?; // one truncation check
+        let mut _w7 = buf.chunk(136);
+        for _i9 in 0..30usize {
+            let _v8 = _c6.get_u32_le_at(0 + _i9 * 4) as i32;
+            _w7.put_u32_be_at(0 + _i9 * 4, (_v8) as u32);
         }
-        buf.put_bytes(r.bytes(16usize)?); // fused: 16 values block-copied
+        _w7.put_bytes_at(120, _c6.bytes_at(120, 16)); // fused: 16 values block-copied
     }
     Ok(())
 }
@@ -323,11 +331,13 @@ pub fn transcode_echo_stat_request(src: &[u8], buf: &mut MarshalBuf) -> Result<(
     let _sb = r.pos();
     let _db = buf.len();
     buf.align_from(_db, 4);
-    for _i1 in 0..30usize {
-        let _v2 = r.get_u32_be()? as i32;
-        buf.put_u32_le((_v2) as u32);
+    let _c1 = r.chunk(136)?; // one truncation check
+    let mut _w2 = buf.chunk(136);
+    for _i4 in 0..30usize {
+        let _v3 = _c1.get_u32_be_at(0 + _i4 * 4) as i32;
+        _w2.put_u32_le_at(0 + _i4 * 4, (_v3) as u32);
     }
-    buf.put_bytes(r.bytes(16usize)?); // fused: 16 values block-copied
+    _w2.put_bytes_at(120, _c1.bytes_at(120, 16)); // fused: 16 values block-copied
     Ok(())
 }
 
@@ -338,11 +348,13 @@ pub fn transcode_echo_stat_reply(src: &[u8], buf: &mut MarshalBuf) -> Result<(),
     let _sb = r.pos();
     let _db = buf.len();
     r.align_from(_sb, 4)?;
-    for _i1 in 0..30usize {
-        let _v2 = r.get_u32_le()? as i32;
-        buf.put_u32_be((_v2) as u32);
+    let _c1 = r.chunk(136)?; // one truncation check
+    let mut _w2 = buf.chunk(136);
+    for _i4 in 0..30usize {
+        let _v3 = _c1.get_u32_le_at(0 + _i4 * 4) as i32;
+        _w2.put_u32_be_at(0 + _i4 * 4, (_v3) as u32);
     }
-    buf.put_bytes(r.bytes(16usize)?); // fused: 16 values block-copied
+    _w2.put_bytes_at(120, _c1.bytes_at(120, 16)); // fused: 16 values block-copied
     Ok(())
 }
 
@@ -389,11 +401,13 @@ pub fn transcode_echo_stat_request_rev(src: &[u8], buf: &mut MarshalBuf) -> Resu
     let _sb = r.pos();
     let _db = buf.len();
     r.align_from(_sb, 4)?;
-    for _i1 in 0..30usize {
-        let _v2 = r.get_u32_le()? as i32;
-        buf.put_u32_be((_v2) as u32);
+    let _c1 = r.chunk(136)?; // one truncation check
+    let mut _w2 = buf.chunk(136);
+    for _i4 in 0..30usize {
+        let _v3 = _c1.get_u32_le_at(0 + _i4 * 4) as i32;
+        _w2.put_u32_be_at(0 + _i4 * 4, (_v3) as u32);
     }
-    buf.put_bytes(r.bytes(16usize)?); // fused: 16 values block-copied
+    _w2.put_bytes_at(120, _c1.bytes_at(120, 16)); // fused: 16 values block-copied
     Ok(())
 }
 
@@ -404,11 +418,13 @@ pub fn transcode_echo_stat_reply_rev(src: &[u8], buf: &mut MarshalBuf) -> Result
     let _sb = r.pos();
     let _db = buf.len();
     buf.align_from(_db, 4);
-    for _i1 in 0..30usize {
-        let _v2 = r.get_u32_be()? as i32;
-        buf.put_u32_le((_v2) as u32);
+    let _c1 = r.chunk(136)?; // one truncation check
+    let mut _w2 = buf.chunk(136);
+    for _i4 in 0..30usize {
+        let _v3 = _c1.get_u32_be_at(0 + _i4 * 4) as i32;
+        _w2.put_u32_le_at(0 + _i4 * 4, (_v3) as u32);
     }
-    buf.put_bytes(r.bytes(16usize)?); // fused: 16 values block-copied
+    _w2.put_bytes_at(120, _c1.bytes_at(120, 16)); // fused: 16 values block-copied
     Ok(())
 }
 

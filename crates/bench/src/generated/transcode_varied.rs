@@ -260,9 +260,11 @@ pub fn transcode_put_grid_request(src: &[u8], buf: &mut MarshalBuf) -> Result<()
     let _sb = r.pos();
     let _db = buf.len();
     buf.align_from(_db, 4);
-    for _i1 in 0..12usize {
-        let _v2 = r.get_u32_be()? as i32;
-        buf.put_u32_le((_v2) as u32);
+    let _c1 = r.chunk(48)?; // one truncation check
+    let mut _w2 = buf.chunk(48);
+    for _i4 in 0..12usize {
+        let _v3 = _c1.get_u32_be_at(0 + _i4 * 4) as i32;
+        _w2.put_u32_le_at(0 + _i4 * 4, (_v3) as u32);
     }
     Ok(())
 }
@@ -300,9 +302,11 @@ pub fn transcode_put_grid_request_rev(src: &[u8], buf: &mut MarshalBuf) -> Resul
     let _sb = r.pos();
     let _db = buf.len();
     r.align_from(_sb, 4)?;
-    for _i1 in 0..12usize {
-        let _v2 = r.get_u32_le()? as i32;
-        buf.put_u32_be((_v2) as u32);
+    let _c1 = r.chunk(48)?; // one truncation check
+    let mut _w2 = buf.chunk(48);
+    for _i4 in 0..12usize {
+        let _v3 = _c1.get_u32_le_at(0 + _i4 * 4) as i32;
+        _w2.put_u32_be_at(0 + _i4 * 4, (_v3) as u32);
     }
     Ok(())
 }
