@@ -12,10 +12,11 @@
 //! reads it (alignment, bound, NUL, UTF-8, discriminator and flag
 //! checks, at the same stream positions) and written as the target
 //! encoder writes it.  A fused packed pair moves through one chunk per
-//! side with block copies where the layouts agree.  Unfused rewrites — the `_naive` twins, and every
-//! rewrite of a module built with `fuse-transcode` off — never
-//! block-copy and materialize strings and scalar sequences, as
-//! decode-then-re-encode would.
+//! side, with block copies where the two layouts agree.  Unfused
+//! rewrites — the `_naive` twins, and every rewrite of a module built
+//! with `fuse-transcode` off — go value by value on the stream and
+//! materialize strings and scalar sequences, as decode-then-re-encode
+//! would.
 
 use std::fmt::Write;
 
