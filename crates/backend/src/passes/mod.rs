@@ -23,7 +23,7 @@
 //! per encoding through passes 1, 5, 6 and 8, and this pass's decision
 //! applies to the resulting *pair* of MIRs (block copies where both
 //! sides' `Packed`/`MemcpyArray` layouts agree), not to endpoint MIR —
-//! see [`fuse`] — but it lives in the shared vocabulary so
+//! see `passes/fuse.rs` — but it lives in the shared vocabulary so
 //! `--disable-pass` validation, pipeline fingerprints, and ablations
 //! treat it uniformly.
 //!
