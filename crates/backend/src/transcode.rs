@@ -388,17 +388,7 @@ pub struct Bulk {
 /// The element packings disagree, or the pair check fails.
 pub fn bulk(src: &Elems, dst: &Elems) -> Result<Option<Bulk>, String> {
     if let (Some(s), Some(d)) = (src.scalar(), dst.scalar()) {
-        let run = Run {
-            src: s,
-            dst: d,
-            count: 1,
-            at: (0, 0),
-        };
-        if !copyable(&s, &d) {
-            return Ok(None);
-        }
-        check_steps(&[Step::Copy(vec![run])], true)?;
-        return Ok(Some(Bulk {
+        return Ok(copyable(&s, &d).then_some(Bulk {
             bytes: u64::from(s.size),
             src_align: s.align,
             dst_align: d.align,
