@@ -103,101 +103,73 @@ fn cap_first(s: &str) -> String {
     }
 }
 
+/// The accessor suffix a wire form moves through (`u8`, `u32_be`, …).
+fn accessor(prim: WirePrim) -> String {
+    match (prim.slot, prim.order) {
+        (1, _) => "u8".into(),
+        (2 | 4, Order::Big) => format!("u{}_be", prim.slot * 8),
+        (2 | 4, Order::Little) => format!("u{}_le", prim.slot * 8),
+        (_, Order::Big) => "u64_be".into(),
+        (_, Order::Little) => "u64_le".into(),
+    }
+}
+
+/// `vexpr` converted to the raw word a wire form stores (widened
+/// signed values sign-extend into their slot).
+fn stored(prim: WirePrim, vexpr: &str) -> String {
+    if prim.float {
+        return format!("({vexpr}).to_bits()");
+    }
+    match prim.slot {
+        1 => format!("({vexpr}) as u8"),
+        2 => format!("({vexpr}) as u16"),
+        4 if prim.size < 4 && prim.signed => format!("({vexpr}) as i32 as u32"),
+        4 => format!("({vexpr}) as u32"),
+        _ => format!("({vexpr}) as u64"),
+    }
+}
+
+/// The raw word `raw` read in a wire form, converted to the presented
+/// value (widened values truncate exactly as the decoder does).
+fn presented(prim: WirePrim, raw: &str) -> String {
+    if prim.float {
+        return format!("f{}::from_bits({raw})", u32::from(prim.size) * 8);
+    }
+    let ty = prim_rust_ty(prim);
+    if prim.slot == 4 && prim.size < 4 && prim.signed {
+        format!("{raw} as i32 as {ty}")
+    } else {
+        format!("{raw} as {ty}")
+    }
+}
+
 /// The statement writing `vexpr` in wire form `prim` to `buf`.
 pub(crate) fn put_prim_call(prim: WirePrim, vexpr: &str) -> String {
-    let suffix = match prim.order {
-        Order::Big => "be",
-        Order::Little => "le",
-    };
-    if prim.float {
-        return match prim.size {
-            4 => format!("buf.put_u32_{suffix}(({vexpr}).to_bits());"),
-            _ => format!("buf.put_u64_{suffix}(({vexpr}).to_bits());"),
-        };
-    }
-    match (prim.slot, prim.size, prim.signed) {
-        (1, _, _) => format!("buf.put_u8(({vexpr}) as u8);"),
-        (2, _, _) => format!("buf.put_u16_{suffix}(({vexpr}) as u16);"),
-        (4, s, true) if s < 4 => {
-            format!("buf.put_u32_{suffix}(({vexpr}) as i32 as u32);")
-        }
-        (4, s, false) if s < 4 => format!("buf.put_u32_{suffix}(({vexpr}) as u32);"),
-        (4, _, _) => format!("buf.put_u32_{suffix}(({vexpr}) as u32);"),
-        _ => format!("buf.put_u64_{suffix}(({vexpr}) as u64);"),
-    }
+    format!("buf.put_{}({});", accessor(prim), stored(prim, vexpr))
 }
 
 /// The expression reading one value in wire form `prim` from `r`.
 pub(crate) fn get_prim_expr(prim: WirePrim) -> String {
-    let suffix = match prim.order {
-        Order::Big => "be",
-        Order::Little => "le",
-    };
-    if prim.float {
-        return match prim.size {
-            4 => format!("f32::from_bits(r.get_u32_{suffix}()?)"),
-            _ => format!("f64::from_bits(r.get_u64_{suffix}()?)"),
-        };
-    }
-    let ty = prim_rust_ty(prim);
-    match prim.slot {
-        1 => format!("r.get_u8()? as {ty}"),
-        2 => format!("r.get_u16_{suffix}()? as {ty}"),
-        4 if prim.size < 4 && prim.signed => {
-            format!("r.get_u32_{suffix}()? as i32 as {ty}")
-        }
-        4 => format!("r.get_u32_{suffix}()? as {ty}"),
-        _ => format!("r.get_u64_{suffix}()? as {ty}"),
-    }
+    presented(prim, &format!("r.get_{}()?", accessor(prim)))
 }
 
 /// The statement writing `vexpr` in wire form `prim` at offset
 /// `off_expr` of chunk writer `cvar`.
 pub(crate) fn chunk_put_call(prim: WirePrim, off_expr: &str, vexpr: &str, cvar: &str) -> String {
-    let suffix = match prim.order {
-        Order::Big => "be",
-        Order::Little => "le",
-    };
-    if prim.float {
-        return match prim.size {
-            4 => format!("{cvar}.put_u32_{suffix}_at({off_expr}, ({vexpr}).to_bits());"),
-            _ => format!("{cvar}.put_u64_{suffix}_at({off_expr}, ({vexpr}).to_bits());"),
-        };
-    }
-    match (prim.slot, prim.size, prim.signed) {
-        (1, _, _) => format!("{cvar}.put_u8_at({off_expr}, ({vexpr}) as u8);"),
-        (2, _, _) => format!("{cvar}.put_u16_{suffix}_at({off_expr}, ({vexpr}) as u16);"),
-        (4, s, true) if s < 4 => {
-            format!("{cvar}.put_u32_{suffix}_at({off_expr}, ({vexpr}) as i32 as u32);")
-        }
-        (4, _, _) => format!("{cvar}.put_u32_{suffix}_at({off_expr}, ({vexpr}) as u32);"),
-        _ => format!("{cvar}.put_u64_{suffix}_at({off_expr}, ({vexpr}) as u64);"),
-    }
+    format!(
+        "{cvar}.put_{}_at({off_expr}, {});",
+        accessor(prim),
+        stored(prim, vexpr)
+    )
 }
 
 /// The expression reading one value in wire form `prim` at offset
 /// `off_expr` of chunk reader `cvar`.
 pub(crate) fn chunk_get_expr(prim: WirePrim, off_expr: &str, cvar: &str) -> String {
-    let suffix = match prim.order {
-        Order::Big => "be",
-        Order::Little => "le",
-    };
-    if prim.float {
-        return match prim.size {
-            4 => format!("f32::from_bits({cvar}.get_u32_{suffix}_at({off_expr}))"),
-            _ => format!("f64::from_bits({cvar}.get_u64_{suffix}_at({off_expr}))"),
-        };
-    }
-    let ty = prim_rust_ty(prim);
-    match prim.slot {
-        1 => format!("{cvar}.get_u8_at({off_expr}) as {ty}"),
-        2 => format!("{cvar}.get_u16_{suffix}_at({off_expr}) as {ty}"),
-        4 if prim.size < 4 && prim.signed => {
-            format!("{cvar}.get_u32_{suffix}_at({off_expr}) as i32 as {ty}")
-        }
-        4 => format!("{cvar}.get_u32_{suffix}_at({off_expr}) as {ty}"),
-        _ => format!("{cvar}.get_u64_{suffix}_at({off_expr}) as {ty}"),
-    }
+    presented(
+        prim,
+        &format!("{cvar}.get_{}_at({off_expr})", accessor(prim)),
+    )
 }
 
 /// The statement writing the count prefix `vexpr_len` under `enc`.
