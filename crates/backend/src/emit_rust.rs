@@ -368,12 +368,25 @@ impl<'a> Emitter<'a> {
         }
     }
 
+    /// The largest fixed-size reply body any operation writes.  With
+    /// the protocol's largest reply header it is what the entry points
+    /// reserve in one `reply.ensure` before writing anything, so a fresh
+    /// reply buffer is allocated once instead of regrown per part.
+    fn largest_hoisted_reply(stubs: &[StubPlan]) -> u64 {
+        stubs
+            .iter()
+            .filter_map(|s| s.reply.hoisted_capped)
+            .max()
+            .unwrap_or(0)
+    }
+
     fn onc_handle_call(&mut self, stubs: &[StubPlan]) {
         let procs: Vec<String> = stubs
             .iter()
             .map(|s| format!("{}u32", s.op.request_code))
             .collect();
         let procs = procs.join(" | ");
+        let body_max = Self::largest_hoisted_reply(stubs);
         let body = format!(
             "/// Serves one ONC call `record` for program `prog` version `vers`.\n\
              /// Malformed headers, unknown procedures, and argument decode\n\
@@ -383,6 +396,7 @@ impl<'a> Emitter<'a> {
              /// too mangled to answer safely (no reply in `reply`).\n\
              pub fn handle_call<S: Server>(record: &[u8], prog: u32, vers: u32, reply: &mut MarshalBuf, srv: &mut S) -> bool {{\n\
              \x20   use flick_runtime::oncrpc::{{self, ReplyOutcome}};\n\
+             \x20   reply.ensure(oncrpc::MAX_REPLY_HEADER_BYTES + {body_max});\n\
              \x20   let (h, body) = match oncrpc::accept_call(record, prog, vers, reply) {{\n\
              \x20       Ok(x) => x,\n\
              \x20       Err(replied) => {{\n\
@@ -504,6 +518,7 @@ impl<'a> Emitter<'a> {
             .map(|s| format!("b\"{}\"", s.op.wire_name))
             .collect();
         let ops = ops.join(" | ");
+        let body_max = Self::largest_hoisted_reply(stubs);
         let body = format!(
             "/// Serves one complete GIOP message.  Unparseable headers answer\n\
              /// `MessageError`; unknown operations and argument decode failures\n\
@@ -513,6 +528,7 @@ impl<'a> Emitter<'a> {
              \x20   use flick_runtime::cdr::{{ByteOrder, CdrIn, CdrOut}};\n\
              \x20   use flick_runtime::giop::{{self, MsgType, ReplyStatus}};\n\
              \x20   reply.clear();\n\
+             \x20   reply.ensure(giop::MAX_REPLY_HEADER_BYTES + {body_max});\n\
              \x20   let mut r = MsgReader::new(msg);\n\
              \x20   let h = match giop::read_header(&mut r) {{\n\
              \x20       Ok(h) => h,\n\

@@ -8,8 +8,10 @@
 //! generated transcode function (see `flick-backend`'s
 //! `--transcode=SRC:DST` emission), forwards the request over a
 //! caller-supplied link, and rewrites the GIOP reply body back into an
-//! ONC reply.  Buffers come from the [`crate::pool`], so the warm
-//! gateway path allocates nothing per call; a live trace context rides
+//! ONC reply.  The rewritten request comes from the [`crate::pool`],
+//! but the link returns the upstream reply as an owned `Vec`, so every
+//! forwarded call allocates at least once (and an in-process upstream
+//! allocates its reply buffer besides); a live trace context rides
 //! both legs (ONC credential in, GIOP service context out) through the
 //! existing [`crate::trace`] plumbing.
 //!

@@ -9,6 +9,14 @@
 //!
 //! Buffers are reused between stub invocations ([`MarshalBuf::clear`]
 //! keeps capacity), matching the paper's footnote 4.
+//!
+//! Generated stubs live in other crates, so a primitive that is not
+//! `#[inline]` is an out-of-line call per datum there.  Every
+//! per-datum primitive here, on [`crate::cdr`]'s `CdrIn`/`CdrOut` and
+//! in [`crate::xdr`] is therefore `#[inline]`, and so is every private
+//! helper it reaches; the one failure those primitives share, a
+//! truncated message, is built in a `#[cold]` out-of-line function so
+//! the inlined fast path stays a compare and a branch.
 
 use crate::error::DecodeError;
 
@@ -20,12 +28,14 @@ pub struct MarshalBuf {
 
 impl MarshalBuf {
     /// A fresh, empty buffer.
+    #[inline]
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
     /// A buffer with `cap` bytes pre-reserved.
+    #[inline]
     #[must_use]
     pub fn with_capacity(cap: usize) -> Self {
         MarshalBuf {
@@ -96,6 +106,7 @@ impl MarshalBuf {
     }
 
     /// Consumes the buffer, yielding the encoded bytes.
+    #[inline]
     #[must_use]
     pub fn into_vec(self) -> Vec<u8> {
         self.data
@@ -304,6 +315,7 @@ pub struct MsgReader<'a> {
 
 impl<'a> MsgReader<'a> {
     /// Wraps a received message.
+    #[inline]
     #[must_use]
     pub fn new(data: &'a [u8]) -> Self {
         MsgReader { data, pos: 0 }
@@ -330,12 +342,11 @@ impl<'a> MsgReader<'a> {
         self.remaining() == 0
     }
 
+    /// The one truncation check every read goes through.
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.remaining() < n {
-            return Err(DecodeError::Truncated {
-                needed: n,
-                available: self.remaining(),
-            });
+            return Err(truncated(n, self.remaining()));
         }
         let s = &self.data[self.pos..self.pos + n];
         self.pos += n;
@@ -424,6 +435,14 @@ impl<'a> MsgReader<'a> {
     pub fn get_u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
     }
+}
+
+/// The truncation error, built out of line so that the inlined
+/// [`MsgReader`] reads carry only the check, not the construction.
+#[cold]
+#[inline(never)]
+fn truncated(needed: usize, available: usize) -> DecodeError {
+    DecodeError::Truncated { needed, available }
 }
 
 /// Reads a fixed-layout region by constant offsets (decode-side chunk

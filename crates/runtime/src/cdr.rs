@@ -18,6 +18,7 @@ pub enum ByteOrder {
 
 impl ByteOrder {
     /// The GIOP flags-byte encoding of this order.
+    #[inline]
     #[must_use]
     pub fn giop_flag(self) -> u8 {
         match self {
@@ -27,6 +28,7 @@ impl ByteOrder {
     }
 
     /// Parses the GIOP flags byte.
+    #[inline]
     pub fn from_giop_flag(flags: u8) -> Self {
         if flags & 1 == 0 {
             ByteOrder::Big
@@ -36,6 +38,7 @@ impl ByteOrder {
     }
 
     /// The machine's native order.
+    #[inline]
     #[must_use]
     pub fn native() -> Self {
         if cfg!(target_endian = "little") {
@@ -58,6 +61,7 @@ pub struct CdrOut {
 
 impl CdrOut {
     /// A stream beginning at the buffer's current end.
+    #[inline]
     #[must_use]
     pub fn begin(buf: &MarshalBuf, order: ByteOrder) -> Self {
         CdrOut {
@@ -156,6 +160,7 @@ pub struct CdrIn {
 
 impl CdrIn {
     /// A stream beginning at the reader's current position.
+    #[inline]
     #[must_use]
     pub fn begin(r: &MsgReader<'_>, order: ByteOrder) -> Self {
         CdrIn {

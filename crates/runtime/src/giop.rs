@@ -25,6 +25,13 @@ use crate::trace::TraceContext;
 /// Size of the fixed GIOP header.
 pub const HEADER_BYTES: usize = 12;
 
+/// The largest reply prefix a server writes before the body: the GIOP
+/// header, then a reply header whose service-context list echoes a
+/// trace context (count, id, length, blob), the request id and the
+/// status.  Replies never carry a budget.  Generated `handle_message`
+/// entries reserve it, with the largest fixed reply body, up front.
+pub const MAX_REPLY_HEADER_BYTES: usize = HEADER_BYTES + 12 + crate::trace::TRACE_BLOB_BYTES + 8;
+
 /// Cap on the body size a GIOP header may announce — a hostile size
 /// field must not force a giant allocation before any body arrives.
 pub const MAX_MESSAGE_BYTES: usize = 16 * 1024 * 1024;
@@ -618,6 +625,11 @@ mod tests {
         put_reply_header(&mut buf, &cdr, 42, ReplyStatus::NoException);
         finish_message(&mut buf, size_at, order);
         let reply = buf.into_vec();
+        assert_eq!(
+            reply.len(),
+            MAX_REPLY_HEADER_BYTES,
+            "a traced reply prefix is the widest"
+        );
 
         let mut r = MsgReader::new(&reply);
         let h = read_header(&mut r).unwrap();

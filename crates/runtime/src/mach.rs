@@ -96,6 +96,7 @@ impl TypeDesc {
 }
 
 /// Writes a type descriptor, choosing short or long form by `number`.
+#[inline]
 pub fn put_type(buf: &mut MarshalBuf, name: u8, size_bits: u8, number: u32) {
     if number <= SHORT_FORM_MAX {
         // word = name | size << 8 | number << 16 | inline bit (1 << 28)
@@ -112,6 +113,7 @@ pub fn put_type(buf: &mut MarshalBuf, name: u8, size_bits: u8, number: u32) {
 }
 
 /// Reads a type descriptor (either form).
+#[inline]
 pub fn get_type(r: &mut MsgReader<'_>) -> Result<TypeDesc, DecodeError> {
     let w = r.get_u32_le()?;
     if w & (1 << 29) != 0 {

@@ -45,6 +45,11 @@ pub const REPLY_HEADER_BYTES: usize = 24;
 /// trace context.
 pub const TRACED_REPLY_HEADER_BYTES: usize = REPLY_HEADER_BYTES + crate::trace::TRACE_BLOB_BYTES;
 
+/// The largest reply header [`write_reply`] writes: a traced verifier
+/// echo plus a `PROG_MISMATCH` version range.  Generated `handle_call`
+/// entries reserve it, with the largest fixed reply body, up front.
+pub const MAX_REPLY_HEADER_BYTES: usize = TRACED_REPLY_HEADER_BYTES + 8;
+
 /// A call-message header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CallHeader {
@@ -241,7 +246,7 @@ fn write_reply_with(
     trace: Option<TraceContext>,
 ) {
     crate::metrics::encode_begin(crate::metrics::Codec::Xdr);
-    buf.ensure(TRACED_REPLY_HEADER_BYTES + 8);
+    buf.ensure(MAX_REPLY_HEADER_BYTES);
     {
         match trace {
             None => {
@@ -888,6 +893,17 @@ mod tests {
         write_reply(&mut out, 77, ReplyOutcome::Success);
         let data = out.into_vec();
         assert_eq!(data.len(), TRACED_REPLY_HEADER_BYTES);
+        let mut widest = MarshalBuf::new();
+        write_reply(
+            &mut widest,
+            77,
+            ReplyOutcome::ProgMismatch { low: 1, high: 2 },
+        );
+        assert_eq!(
+            widest.len(),
+            MAX_REPLY_HEADER_BYTES,
+            "traced PROG_MISMATCH is the widest"
+        );
         let mut r = MsgReader::new(&data);
         let (xid, verdict, echoed) = read_reply_verdict_traced(&mut r).expect("parses");
         assert_eq!(xid, 77);

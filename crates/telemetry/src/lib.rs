@@ -78,6 +78,42 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
 
+/// Holds the process-global flag for one test: the test harness runs
+/// tests on parallel threads, and a neighbour flipping the flag inside
+/// another test's window makes that test's recording vanish.  Every
+/// test that sets or depends on the flag takes a guard first; the
+/// guard serializes them and restores the previous flag on drop.
+#[cfg(test)]
+pub(crate) struct FlagGuard {
+    prev: u8,
+    _serial: std::sync::MutexGuard<'static, ()>,
+}
+
+#[cfg(test)]
+impl FlagGuard {
+    /// Waits for every other flag-holding test, then sets the flag.
+    pub(crate) fn set(on: bool) -> FlagGuard {
+        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        // A failed test poisons the lock; the next one still runs.
+        let serial = SERIAL
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let prev = ENABLED.load(Ordering::Relaxed);
+        set_enabled(on);
+        FlagGuard {
+            prev,
+            _serial: serial,
+        }
+    }
+}
+
+#[cfg(test)]
+impl Drop for FlagGuard {
+    fn drop(&mut self) {
+        ENABLED.store(self.prev, Ordering::Relaxed);
+    }
+}
+
 /// Starts a wall-clock measurement iff collection is enabled.
 ///
 /// Pair with [`elapsed_ns`]; keeping the disabled path to a single
@@ -109,7 +145,7 @@ mod tests {
 
     #[test]
     fn enable_flag_toggles() {
-        set_enabled(true);
+        let _flag = FlagGuard::set(true);
         assert!(enabled());
         assert!(stopwatch().is_some());
         set_enabled(false);

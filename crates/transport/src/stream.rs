@@ -14,6 +14,12 @@ use std::sync::{Arc, Condvar, Mutex};
 struct PipeState {
     buf: VecDeque<u8>,
     closed: bool,
+    /// Readers blocked on `ready`.  Counted under the mutex, so a
+    /// writer that sees zero knows no reader can be between its check
+    /// and its wait: the notify (a futex syscall) is skipped.
+    readers_waiting: usize,
+    /// Writers blocked on `space`, counted the same way.
+    writers_waiting: usize,
 }
 
 struct Pipe {
@@ -45,6 +51,20 @@ impl Pipe {
         }
     }
 
+    /// Wakes blocked readers, if there are any.
+    fn wake_readers(&self, s: &PipeState) {
+        if s.readers_waiting > 0 {
+            self.ready.notify_all();
+        }
+    }
+
+    /// Wakes blocked writers, if there are any.
+    fn wake_writers(&self, s: &PipeState) {
+        if s.writers_waiting > 0 {
+            self.space.notify_all();
+        }
+    }
+
     fn write(&self, bytes: &[u8]) {
         let mut done = 0;
         let mut s = self.state.lock().expect("pipe poisoned");
@@ -54,13 +74,15 @@ impl Pipe {
             }
             let room = self.cap.saturating_sub(s.buf.len());
             if room == 0 {
+                s.writers_waiting += 1;
                 s = self.space.wait(s).expect("pipe poisoned");
+                s.writers_waiting -= 1;
                 continue;
             }
             let n = room.min(bytes.len() - done);
-            s.buf.extend(bytes[done..done + n].iter().copied());
+            s.buf.extend(&bytes[done..done + n]);
             done += n;
-            self.ready.notify_all();
+            self.wake_readers(&s);
         }
     }
 
@@ -74,8 +96,8 @@ impl Pipe {
             return WriteStatus::Full;
         }
         let n = room.min(bytes.len());
-        s.buf.extend(bytes[..n].iter().copied());
-        self.ready.notify_all();
+        s.buf.extend(&bytes[..n]);
+        self.wake_readers(&s);
         WriteStatus::Wrote(n)
     }
 
@@ -85,12 +107,16 @@ impl Pipe {
             if s.closed {
                 return false;
             }
+            s.readers_waiting += 1;
             s = self.ready.wait(s).expect("pipe poisoned");
+            s.readers_waiting -= 1;
         }
-        for slot in out.iter_mut() {
-            *slot = s.buf.pop_front().expect("length checked");
-        }
-        self.space.notify_all();
+        let (a, b) = front(&s.buf, out.len());
+        let (head, tail) = out.split_at_mut(a.len());
+        head.copy_from_slice(a);
+        tail.copy_from_slice(b);
+        s.buf.drain(..out.len());
+        self.wake_writers(&s);
         true
     }
 
@@ -104,23 +130,29 @@ impl Pipe {
             };
         }
         let n = s.buf.len().min(max);
-        let (a, b) = s.buf.as_slices();
-        if n <= a.len() {
-            out.put_bytes(&a[..n]);
-        } else {
-            out.put_bytes(a);
-            out.put_bytes(&b[..n - a.len()]);
-        }
+        let (a, b) = front(&s.buf, n);
+        out.put_bytes(a);
+        out.put_bytes(b);
         s.buf.drain(..n);
-        self.space.notify_all();
+        self.wake_writers(&s);
         ReadStatus::Read(n)
     }
 
     fn close(&self) {
         let mut s = self.state.lock().expect("pipe poisoned");
         s.closed = true;
-        self.ready.notify_all();
-        self.space.notify_all();
+        self.wake_readers(&s);
+        self.wake_writers(&s);
+    }
+}
+
+/// The first `n` buffered bytes, as the (at most two) runs of the ring.
+fn front(buf: &VecDeque<u8>, n: usize) -> (&[u8], &[u8]) {
+    let (a, b) = buf.as_slices();
+    if n <= a.len() {
+        (&a[..n], &[])
+    } else {
+        (a, &b[..n - a.len()])
     }
 }
 
@@ -393,6 +425,79 @@ mod tests {
         }
         t.join().unwrap();
         assert_eq!(&got[8..], &[4; 8]);
+    }
+
+    /// Spins until `p`'s state satisfies `f` — how the wake tests know
+    /// a peer thread is parked in its wait, not merely about to be.
+    fn wait_until(p: &Pipe, f: impl Fn(&PipeState) -> bool) {
+        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !f(&p.state.lock().unwrap()) {
+            assert!(std::time::Instant::now() < give_up, "peer never parked");
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn read_available_releases_a_blocked_writer() {
+        let (a, b) = stream_pair_bounded(4);
+        thread::scope(|sc| {
+            let w = sc.spawn(|| a.write(&[5; 8]));
+            wait_until(&b.rx, |s| s.writers_waiting == 1);
+            let mut got = MarshalBuf::new();
+            while got.len() < 8 {
+                let _ = b.read_available(&mut got, 8);
+                thread::yield_now();
+            }
+            w.join().unwrap();
+            assert_eq!(got.as_slice(), &[5; 8]);
+        });
+        assert_eq!(b.rx.state.lock().unwrap().writers_waiting, 0);
+    }
+
+    #[test]
+    fn try_write_releases_a_blocked_reader() {
+        let (a, b) = stream_pair();
+        thread::scope(|sc| {
+            let r = sc.spawn(|| b.read_exact(4));
+            wait_until(&a.tx, |s| s.readers_waiting == 1);
+            assert_eq!(a.try_write(b"ping"), WriteStatus::Wrote(4));
+            assert_eq!(r.join().unwrap().as_deref(), Some(&b"ping"[..]));
+        });
+        assert_eq!(a.tx.state.lock().unwrap().readers_waiting, 0);
+    }
+
+    #[test]
+    fn close_releases_a_blocked_reader_and_writer() {
+        let (a, b) = stream_pair_bounded(4);
+        thread::scope(|sc| {
+            let w = sc.spawn(|| a.write(&[7; 8]));
+            let r = sc.spawn(|| a.read_exact(4));
+            wait_until(&b.rx, |s| s.writers_waiting == 1);
+            wait_until(&b.tx, |s| s.readers_waiting == 1);
+            b.close();
+            w.join().unwrap();
+            assert_eq!(r.join().unwrap(), None);
+        });
+    }
+
+    #[test]
+    fn read_exact_copies_across_the_ring_seam() {
+        let (a, b) = stream_pair();
+        // Odd-sized writes and split reads walk the deque's head around
+        // its ring, so some reads straddle the wrap point.
+        let mut next = 0u8;
+        for n in 1..64usize {
+            let chunk: Vec<u8> = (0..n)
+                .map(|_| {
+                    next = next.wrapping_add(1);
+                    next
+                })
+                .collect();
+            a.write(&chunk);
+            let head = b.read_exact(n / 2).unwrap();
+            let tail = b.read_exact(n - n / 2).unwrap();
+            assert_eq!([head, tail].concat(), chunk);
+        }
     }
 
     #[test]

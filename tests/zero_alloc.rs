@@ -30,7 +30,7 @@ use flick_bench::generated::{iiop_bench, onc_bench};
 use flick_runtime::cdr::{ByteOrder, CdrIn, CdrOut};
 use flick_runtime::giop::{self, MsgType, ReplyStatus};
 use flick_runtime::oncrpc::{self, CallHeader};
-use flick_runtime::{pool, MsgReader};
+use flick_runtime::{pool, MarshalBuf, MsgReader};
 
 #[global_allocator]
 static ALLOC: PeakAlloc = PeakAlloc;
@@ -179,6 +179,84 @@ fn warm_giop_round_trip_is_allocation_free() {
         "warm GIOP round trips touched the heap ({} bytes over 100 calls)",
         allocwatch::thread_alloc_bytes() - bytes
     );
+}
+
+/// Heap allocations on this thread while `f` runs.
+fn thread_allocs(f: impl FnOnce()) -> usize {
+    let events = allocwatch::thread_alloc_events();
+    f();
+    allocwatch::thread_alloc_events() - events
+}
+
+// The generated entry points reserve the whole reply (the protocol's
+// largest reply header plus the largest fixed reply body) before
+// writing any of it, so a fresh, empty reply buffer is allocated
+// exactly once: no regrowth per header and body.
+
+#[test]
+fn onc_entry_allocates_a_fresh_reply_once() {
+    let stat = data::onc::stat();
+    let mut srv = OncId;
+    let mut call = MarshalBuf::new();
+    CallHeader {
+        xid: 7,
+        prog: PROG,
+        vers: VERS,
+        proc: 4,
+    }
+    .write(&mut call);
+    onc_bench::encode_echo_stat_request(&mut call, &stat);
+    let serve = |reply: &mut MarshalBuf, srv: &mut OncId| {
+        assert!(onc_bench::handle_call(
+            call.as_slice(),
+            PROG,
+            VERS,
+            reply,
+            srv
+        ));
+    };
+    // First call initializes thread-locals and lazies.
+    serve(&mut MarshalBuf::new(), &mut srv);
+
+    let mut reply = MarshalBuf::new();
+    let n = thread_allocs(|| serve(&mut reply, &mut srv));
+    let mut r = MsgReader::new(reply.as_slice());
+    oncrpc::read_reply(&mut r).expect("reply accepted");
+    let (back,) = onc_bench::decode_echo_stat_reply(&mut r).expect("reply decodes");
+    assert_eq!(back, stat);
+    if !tracing_active() {
+        assert_eq!(n, 1, "a fresh ONC reply buffer is allocated once");
+    }
+}
+
+#[test]
+fn giop_entry_allocates_a_fresh_reply_once() {
+    let stat = data::iiop::stat();
+    let mut srv = IiopId;
+    let order = ByteOrder::Big;
+    let mut call = MarshalBuf::new();
+    let at = giop::begin_message(&mut call, order, MsgType::Request);
+    let out = CdrOut::begin(&call, order);
+    giop::put_request_header(&mut call, &out, 7, true, b"key", "echo_stat");
+    iiop_bench::encode_echo_stat_request(&mut call, &stat);
+    giop::finish_message(&mut call, at, order);
+    let serve = |reply: &mut MarshalBuf, srv: &mut IiopId| {
+        assert!(iiop_bench::handle_message(call.as_slice(), reply, srv));
+    };
+    serve(&mut MarshalBuf::new(), &mut srv);
+
+    let mut reply = MarshalBuf::new();
+    let n = thread_allocs(|| serve(&mut reply, &mut srv));
+    let mut r = MsgReader::new(reply.as_slice());
+    let h = giop::read_header(&mut r).expect("reply header");
+    let cdr = CdrIn::begin(&r, h.order);
+    let rh = giop::get_reply_header(&mut r, &cdr).expect("reply ok");
+    assert_eq!(rh.status, ReplyStatus::NoException);
+    let (back,) = iiop_bench::decode_echo_stat_reply(&mut r).expect("reply decodes");
+    assert_eq!(back, stat);
+    if !tracing_active() {
+        assert_eq!(n, 1, "a fresh GIOP reply buffer is allocated once");
+    }
 }
 
 #[test]
